@@ -3,17 +3,17 @@
 States are dense indices 0..m-1 and the transition table is total by
 construction, so every operation can assume a complete DFA.  Provides:
 
-- immutable ``Dfa`` values with run/accept simulation
-- product construction (reachable pairs only), complement
-- emptiness with shortest-word witness (BFS, alphabet-order tie break)
-- language inclusion and equivalence
+- immutable ``Dfa`` values with run/accept simulation, complement
+- one early-exit BFS over the state pairs two automata reach together,
+  behind the product (reachable pairs only), the shortest accepted word
+  (alphabet-order tie break), inclusion and equivalence; the last three
+  stop at the first witness pair and rebuild it from parent pointers
 - Hopcroft minimization with canonical BFS state numbering
 - the line-based ``.dfa`` text format and Graphviz DOT export
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -159,23 +159,12 @@ class Dfa:
     def shortest_accepted_word(self) -> Word | None:
         """Minimum-length accepted word, or None iff the language is empty.
 
-        BFS from the initial state; ties go to the earlier alphabet
+        Pair search over the diagonal; ties go to the earlier alphabet
         symbol, so the result is the lexicographically first among the
         shortest accepted words.
         """
-        if self.initial in self.accepting:
-            return ""
-        seen = {self.initial}
-        queue = deque([(self.initial, "")])
-        while queue:
-            state, word = queue.popleft()
-            for c, t in zip(self.alphabet.symbols, self.delta[state]):
-                if t not in seen:
-                    if t in self.accepting:
-                        return word + c
-                    seen.add(t)
-                    queue.append((t, word + c))
-        return None
+        accepting = self.accepting
+        return _pair_search(self, self, lambda s, _: s in accepting)[2]
 
     def minimize(self) -> Dfa:
         """Unique minimal complete DFA for the same language.
@@ -243,7 +232,8 @@ def _hopcroft(dfa: Dfa, reachable: list[int]) -> list[frozenset[int]]:
         for q in block:
             block_of[q] = block
 
-    worklist = [final if len(final) <= len(nonfinal) else nonfinal]
+    # a set: the coarsest partition is unique, so pop order cannot matter
+    worklist = {min(final, nonfinal, key=len)}
     while worklist:
         splitter = worklist.pop()
         for c in range(width):
@@ -265,10 +255,9 @@ def _hopcroft(dfa: Dfa, reachable: list[int]) -> list[frozenset[int]]:
                     block_of[q] = part2
                 if block in worklist:
                     worklist.remove(block)
-                    worklist.append(part1)
-                    worklist.append(part2)
+                    worklist |= {part1, part2}
                 else:
-                    worklist.append(part1 if len(part1) <= len(part2) else part2)
+                    worklist.add(min(part1, part2, key=len))
 
     # order blocks by their smallest member for reproducibility
     return sorted(partition, key=min)
@@ -296,28 +285,54 @@ def _bfs_renumber(
     return Dfa(alphabet, new_delta, 0, new_accepting)
 
 
+def _pair_search(
+    a: Dfa, b: Dfa, stop: Callable[[int, int], bool] | None = None
+) -> tuple[list[tuple[int, int]], list[list[int]], Word | None]:
+    """BFS over the state pairs that ``a`` and ``b`` reach together.
+
+    Successors go in alphabet order and pairs are numbered in discovery
+    order from the initial pair.  Returns at the first discovered pair
+    satisfying ``stop``, with ``(pairs, rows of the expanded pairs,
+    word)``; the word reaches that pair (None without a hit) and is the
+    first such word in length-lexicographic order.
+    """
+    _require_same_alphabet(a, b)
+    width = len(a.alphabet)
+    start = (a.initial, b.initial)
+    if stop is not None and stop(*start):
+        return [start], [], ""
+    index = {start: 0}
+    pairs = [start]
+    parent = [0]  # parent number * width + symbol index; unused for pair 0
+    rows = []
+    for i, (s, t) in enumerate(pairs):
+        arow, brow = a.delta[s], b.delta[t]
+        row = []
+        for c in range(width):
+            np = (arow[c], brow[c])
+            j = index.get(np)
+            if j is None:
+                j = index[np] = len(pairs)
+                pairs.append(np)
+                parent.append(i * width + c)
+                if stop is not None and stop(*np):
+                    letters = []
+                    while j:
+                        j, c = divmod(parent[j], width)
+                        letters.append(a.alphabet.symbols[c])
+                    return pairs, rows, "".join(reversed(letters))
+            row.append(j)
+        rows.append(row)
+    return pairs, rows, None
+
+
 def product(a: Dfa, b: Dfa, combine: Callable[[bool, bool], bool]) -> Dfa:
     """Reachable product automaton; acceptance is ``combine`` of the parts.
 
     Only pairs reachable from the pair of initial states are
     materialized, indexed in BFS discovery order.
     """
-    _require_same_alphabet(a, b)
-    width = len(a.alphabet)
-    index = {(a.initial, b.initial): 0}
-    pairs = [(a.initial, b.initial)]
-    rows = []
-    for s, t in pairs:
-        arow, brow = a.delta[s], b.delta[t]
-        row = []
-        for c in range(width):
-            np = (arow[c], brow[c])
-            i = index.get(np)
-            if i is None:
-                i = index[np] = len(pairs)
-                pairs.append(np)
-            row.append(i)
-        rows.append(row)
+    pairs, rows, _ = _pair_search(a, b)
     accepting = {
         i for i, (s, t) in enumerate(pairs) if combine(s in a.accepting, t in b.accepting)
     }
@@ -330,28 +345,14 @@ def is_subset(a: Dfa, b: Dfa) -> bool:
     Equivalent to emptiness of the product of ``a`` with the complement
     of ``b``; the pair search stops at the first violating pair.
     """
-    _require_same_alphabet(a, b)
-    width = len(a.alphabet)
-    start = (a.initial, b.initial)
-    seen = {start}
-    stack = [start]
     acc_a, acc_b = a.accepting, b.accepting
-    while stack:
-        s, t = stack.pop()
-        if s in acc_a and t not in acc_b:
-            return False
-        arow, brow = a.delta[s], b.delta[t]
-        for c in range(width):
-            np = (arow[c], brow[c])
-            if np not in seen:
-                seen.add(np)
-                stack.append(np)
-    return True
+    return _pair_search(a, b, lambda s, t: s in acc_a and t not in acc_b)[2] is None
 
 
 def is_equivalent(a: Dfa, b: Dfa) -> bool:
-    """True iff both languages coincide (mutual inclusion)."""
-    return is_subset(a, b) and is_subset(b, a)
+    """True iff both languages coincide; stops at the first differing pair."""
+    acc_a, acc_b = a.accepting, b.accepting
+    return _pair_search(a, b, lambda s, t: (s in acc_a) != (t in acc_b))[2] is None
 
 
 def _require_same_alphabet(a: Dfa, b: Dfa) -> None:
@@ -375,10 +376,13 @@ def parse_dfa(text: str) -> Dfa:
         if stripped:
             content.append((lineno, stripped.split()))
 
+    lines = iter(content)
+
     def take(what: str) -> tuple[int, list[str]]:
-        if not content:
+        line = next(lines, None)
+        if line is None:
             raise DfaParseError(f"unexpected end of input, expected {what}")
-        return content.pop(0)
+        return line
 
     def parse_int(token: str, lineno: int, what: str) -> int:
         try:
@@ -447,8 +451,9 @@ def parse_dfa(text: str) -> Dfa:
             targets.append(t)
         rows[q] = tuple(targets)
 
-    if content:
-        lineno, tokens = content[0]
+    extra = next(lines, None)
+    if extra is not None:
+        lineno, tokens = extra
         raise DfaParseError(f"unexpected content {' '.join(tokens)!r} after last row", lineno)
     missing = [q for q in range(m) if q not in rows]
     if missing:

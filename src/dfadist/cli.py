@@ -68,20 +68,22 @@ def _cmd_word(args: argparse.Namespace) -> int:
     return EXIT_TRUE
 
 
-def _cmd_check_subset(args: argparse.Namespace) -> int:
-    result = is_subset(_load_dfa(args.a1), _load_dfa(args.a2))
-    print("true" if result else "false")
-    return EXIT_TRUE if result else EXIT_FALSE
+# check kind -> (help, positional .dfa arguments, predicate); the lambdas
+# look the names up at call time, so rebinding them (perfbench's tracer) works
+_CHECKS = {
+    "subset": ("L(a1) subset of L(a2)", ("a1", "a2"), lambda a1, a2: is_subset(a1, a2)),
+    "equiv": ("L(a1) equals L(a2)", ("a1", "a2"), lambda a1, a2: is_equivalent(a1, a2)),
+    "distinguishing": (
+        "L(dfa) inside exactly one of L(a1), L(a2)",
+        ("dfa", "a1", "a2"),
+        lambda dfa, a1, a2: is_distinguishing(dfa, a1, a2),
+    ),
+}
 
 
-def _cmd_check_equiv(args: argparse.Namespace) -> int:
-    result = is_equivalent(_load_dfa(args.a1), _load_dfa(args.a2))
-    print("true" if result else "false")
-    return EXIT_TRUE if result else EXIT_FALSE
-
-
-def _cmd_check_distinguishing(args: argparse.Namespace) -> int:
-    result = is_distinguishing(_load_dfa(args.dfa), _load_dfa(args.a1), _load_dfa(args.a2))
+def _cmd_check(args: argparse.Namespace) -> int:
+    _, names, predicate = _CHECKS[args.check_kind]
+    result = predicate(*(_load_dfa(getattr(args, name)) for name in names))
     print("true" if result else "false")
     return EXIT_TRUE if result else EXIT_FALSE
 
@@ -141,19 +143,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="boolean language checks")
     check_sub = p.add_subparsers(dest="check_kind", required=True)
-    q = check_sub.add_parser("subset", help="L(a1) subset of L(a2)")
-    q.add_argument("a1")
-    q.add_argument("a2")
-    q.set_defaults(func=_cmd_check_subset)
-    q = check_sub.add_parser("equiv", help="L(a1) equals L(a2)")
-    q.add_argument("a1")
-    q.add_argument("a2")
-    q.set_defaults(func=_cmd_check_equiv)
-    q = check_sub.add_parser("distinguishing", help="L(dfa) inside exactly one of L(a1), L(a2)")
-    q.add_argument("dfa")
-    q.add_argument("a1")
-    q.add_argument("a2")
-    q.set_defaults(func=_cmd_check_distinguishing)
+    for kind, (help_text, names, _) in _CHECKS.items():
+        q = check_sub.add_parser(kind, help=help_text)
+        for name in names:
+            q.add_argument(name)
+        q.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("minimize", help="print the minimal DFA in .dfa format")
     p.add_argument("dfa")

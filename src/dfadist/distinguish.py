@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .automata import Alphabet, Dfa, Word, is_subset, product, _require_same_alphabet
+from .automata import Alphabet, Dfa, Word, is_subset, product, _pair_search, _require_same_alphabet
 from .satsolve import CnfInstance, Model
 
 
@@ -54,8 +54,12 @@ class SynthOutcome:
 
 
 def shortest_distinguishing_word(a1: Dfa, a2: Dfa) -> Word | None:
-    """Shortest word accepted by exactly one automaton; None iff equivalent."""
-    return product(a1, a2, lambda x, y: x != y).shortest_accepted_word()
+    """Shortest word accepted by exactly one automaton; None iff equivalent.
+
+    Ties go to the earlier alphabet symbol; no product is built.
+    """
+    acc1, acc2 = a1.accepting, a2.accepting
+    return _pair_search(a1, a2, lambda s, t: (s in acc1) != (t in acc2))[2]
 
 
 def is_distinguishing(dfa: Dfa, a1: Dfa, a2: Dfa) -> bool:
@@ -224,22 +228,8 @@ class _PairSpace:
     """
 
     def __init__(self, target_min: Dfa, region: Dfa):
-        width = len(target_min.alphabet)
-        index = {(target_min.initial, region.initial): 0}
-        pairs = [(target_min.initial, region.initial)]
-        rows = []
-        for t, x in pairs:
-            trow, xrow = target_min.delta[t], region.delta[x]
-            row = []
-            for c in range(width):
-                np = (trow[c], xrow[c])
-                i = index.get(np)
-                if i is None:
-                    i = index[np] = len(pairs)
-                    pairs.append(np)
-                row.append(i)
-            rows.append(row)
-        self.width = width
+        pairs, rows, _ = _pair_search(target_min, region)
+        self.width = width = len(target_min.alphabet)
         self.step = [[rows[y][c] for y in range(len(pairs))] for c in range(width)]
         self.bad = 0
         self.goal = 0
@@ -473,8 +463,9 @@ def synth_min_distinguishing(a1: Dfa, a2: Dfa, k_max: int) -> SynthOutcome:
         target, escape = _oriented(a1, a2, orientation)
         region = _escape_region(target, escape)
         # empty region: the target language is inside the other, so no
-        # subset of it can escape; skip the orientation outright
-        if region.shortest_accepted_word() is None:
+        # subset of it can escape; skip the orientation outright.  The
+        # region is minimized, so every state is reachable.
+        if not region.accepting:
             continue
         prepared.append((orientation, _PairSpace(target.minimize(), region)))
     for k in range(1, k_max + 1):

@@ -60,6 +60,33 @@ def test_check_distinguishing(workdir, capsys):
     assert code == 0 and out == "true\n"
 
 
+@pytest.mark.parametrize(
+    "kind, files, code, out",
+    [
+        ("subset", ("example_a", "example_a"), 0, "true\n"),
+        ("subset", ("example_a", "example_b"), 1, "false\n"),
+        ("subset", ("example_a", "other"), 2, ""),
+        ("equiv", ("example_a", "example_a"), 0, "true\n"),
+        ("equiv", ("example_a", "example_b"), 1, "false\n"),
+        ("equiv", ("other", "example_a"), 2, ""),
+        ("distinguishing", ("example_a", "example_a", "example_b"), 0, "true\n"),
+        ("distinguishing", ("example_a", "example_a", "example_a"), 1, "false\n"),
+        ("distinguishing", ("other", "example_a", "example_b"), 2, ""),
+    ],
+)
+def test_check_kinds(workdir, capsys, kind, files, code, out):
+    (workdir / "other.dfa").write_text(
+        "dfa v1\nalphabet b\nstates 1\ninitial 0\naccepting\nrow 0 0\n"
+    )
+    got = run(capsys, "check", kind, *(workdir / f"{name}.dfa" for name in files))
+    assert got[:2] == (code, out)
+    if code == 2:
+        assert got[2].startswith("error: alphabet mismatch")
+        assert got[2].count("\n") == 1 and "Traceback" not in got[2]
+    else:
+        assert got[2] == ""
+
+
 # ---------------------------------------------------------------------
 # synth
 # ---------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -54,8 +55,21 @@ def test_shortest_distinguishing_word_random_pairs(rng):
         a, b = inequivalent_pair(rng)
         word = shortest_distinguishing_word(a, b)
         assert a.accepts(word) != b.accepts(word)
-        shorter = [w for w in all_words("ab", len(word)) if len(w) < len(word)]
-        assert all(a.accepts(w) == b.accepts(w) for w in shorter)
+        # the first differing word in length-lexicographic order
+        assert word == next(w for w in all_words("ab", len(word)) if a.accepts(w) != b.accepts(w))
+
+
+def test_shortest_distinguishing_word_memory_is_bounded(rng):
+    # a short answer must not cost the reachable product of the pair
+    a, b = random_dfa(rng, 1000), random_dfa(rng, 1000)
+    tracemalloc.start()
+    try:
+        word = shortest_distinguishing_word(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert word is not None and a.accepts(word) != b.accepts(word)
+    assert peak < 1 << 20
 
 
 def test_no_word_iff_equivalent(rng):
