@@ -103,17 +103,19 @@ class Dfa:
         if m == 0:
             raise AutomataError("a DFA needs at least one state")
         width = len(self.alphabet)
+        # state ids are exactly int: a bool would serialize as True/False,
+        # a float would fail as an index
         for q, row in enumerate(self.delta):
             if len(row) != width:
                 raise AutomataError(f"row {q} has {len(row)} entries, expected {width}")
             for t in row:
-                if not isinstance(t, int) or not 0 <= t < m:
-                    raise AutomataError(f"row {q} target {t!r} outside [0,{m})")
-        if not 0 <= self.initial < m:
-            raise AutomataError(f"initial state {self.initial} outside [0,{m})")
+                if type(t) is not int or not 0 <= t < m:
+                    raise AutomataError(f"row {q} target {t!r} is not a state in [0,{m})")
+        if type(self.initial) is not int or not 0 <= self.initial < m:
+            raise AutomataError(f"initial state {self.initial!r} is not a state in [0,{m})")
         for q in self.accepting:
-            if not isinstance(q, int) or not 0 <= q < m:
-                raise AutomataError(f"accepting state {q!r} outside [0,{m})")
+            if type(q) is not int or not 0 <= q < m:
+                raise AutomataError(f"accepting state {q!r} is not a state in [0,{m})")
 
     @property
     def state_count(self) -> int:

@@ -8,12 +8,10 @@ cross-validate the synthesizer.
 
 The per-bound question is "is there a k-state DFA whose language fits
 inside the target automaton and escapes the other one".
-``encode_distinguishing`` compiles it to CNF for an external solver,
-certifying the escape with a bounded witness path.
-``synth_min_distinguishing`` answers the same question with a dedicated
-backtracking search over canonical transition tables, which refutes
-infeasible bounds far faster than a learning-free SAT engine can refute
-the path encoding.
+``synth_min_distinguishing`` answers it, per orientation, with a
+dedicated backtracking search over canonical transition tables.  The
+tests cross-validate that search against ``brute_force_min_distinguishing``
+and against an exhaustive per-orientation feasibility reference.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .automata import Alphabet, Dfa, Word, is_subset, product, _pair_search, _require_same_alphabet
-from .satsolve import CnfInstance, Model
 
 
 class Orientation(Enum):
@@ -67,126 +64,6 @@ def is_distinguishing(dfa: Dfa, a1: Dfa, a2: Dfa) -> bool:
     return is_subset(dfa, a1) != is_subset(dfa, a2)
 
 
-class _Encoder:
-    """CNF builder for k-state candidate DFAs with a fixed initial state 0.
-
-    Variables: ``trans[q][c][q2]`` one-hot transition choices and
-    ``acc[q]`` acceptance flags.  Constraint sections are added on top:
-    inclusion in a target DFA via monotone pair reachability, and an
-    escape witness as a bounded path.
-    """
-
-    def __init__(self, alphabet: Alphabet, k: int):
-        self.alphabet = alphabet
-        self.k = k
-        self.width = len(alphabet)
-        self.var_count = 0
-        self.clauses: list[tuple[int, ...]] = []
-        self.trans = [
-            [[self._new() for _ in range(k)] for _ in range(self.width)] for _ in range(k)
-        ]
-        self.acc = [self._new() for _ in range(k)]
-        for q in range(k):
-            for c in range(self.width):
-                self._exactly_one(self.trans[q][c])
-
-    def _new(self) -> int:
-        self.var_count += 1
-        return self.var_count
-
-    def _exactly_one(self, variables: list[int]) -> None:
-        self.clauses.append(tuple(variables))
-        for i in range(len(variables)):
-            for j in range(i + 1, len(variables)):
-                self.clauses.append((-variables[i], -variables[j]))
-
-    def _reach_vars(self, other: Dfa) -> list[list[int]]:
-        """Pair-reachability variables over candidate states x ``other`` states.
-
-        Clauses force the closure: the initial pair holds and reachability
-        propagates along every chosen candidate transition, so any model
-        over-approximates the truly reachable pairs.
-        """
-        reach = [[self._new() for _ in range(other.state_count)] for _ in range(self.k)]
-        self.clauses.append((reach[0][other.initial],))
-        for q in range(self.k):
-            for s in range(other.state_count):
-                r_qs = reach[q][s]
-                row = other.delta[s]
-                for c in range(self.width):
-                    s2 = row[c]
-                    for q2 in range(self.k):
-                        self.clauses.append((-r_qs, -self.trans[q][c][q2], reach[q2][s2]))
-        return reach
-
-    def add_inclusion(self, target: Dfa) -> None:
-        """Require L(candidate) to be a subset of L(target)."""
-        reach = self._reach_vars(target)
-        for s in range(target.state_count):
-            if s not in target.accepting:
-                for q in range(self.k):
-                    self.clauses.append((-reach[q][s], -self.acc[q]))
-
-    def add_escape_path(self, escape_region: Dfa, length: int) -> None:
-        """Bounded witness path through candidate x escape-region.
-
-        Sound and complete for "the candidate accepts a word of the
-        escape region": a shortest such word fits inside the reachable
-        part of the pair product, hence within the given length bound.
-        """
-        x = escape_region
-        steps = length + 1
-        sym = [[self._new() for _ in range(self.width)] for _ in range(length)]
-        pos = [[self._new() for _ in range(self.k)] for _ in range(steps)]
-        xpos = [[self._new() for _ in range(x.state_count)] for _ in range(steps)]
-        end = [self._new() for _ in range(steps)]
-        for t in range(length):
-            self._exactly_one(sym[t])
-        self._exactly_one(end)
-        self.clauses.append((pos[0][0],))
-        self.clauses.append((xpos[0][x.initial],))
-        for t in range(length):
-            for c in range(self.width):
-                for q in range(self.k):
-                    for q2 in range(self.k):
-                        self.clauses.append(
-                            (-pos[t][q], -sym[t][c], -self.trans[q][c][q2], pos[t + 1][q2])
-                        )
-                for s in range(x.state_count):
-                    self.clauses.append((-xpos[t][s], -sym[t][c], xpos[t + 1][x.delta[s][c]]))
-        for t in range(steps):
-            for q in range(self.k):
-                self.clauses.append((-end[t], -pos[t][q], self.acc[q]))
-            for s in range(x.state_count):
-                if s not in x.accepting:
-                    self.clauses.append((-end[t], -xpos[t][s]))
-
-    def instance(self) -> CnfInstance:
-        return CnfInstance(self.var_count, tuple(self.clauses))
-
-    def decode(self, model: Model) -> Dfa:
-        delta = []
-        for q in range(self.k):
-            row = []
-            for c in range(self.width):
-                choices = [q2 for q2 in range(self.k) if model[self.trans[q][c][q2] - 1]]
-                row.append(choices[0])
-            delta.append(row)
-        accepting = {q for q in range(self.k) if model[self.acc[q] - 1]}
-        return Dfa(self.alphabet, delta, 0, accepting)
-
-
-@dataclass(frozen=True)
-class DistinguishingEncoding:
-    """Decode context mapping solver models back to candidate DFAs."""
-
-    encoder: _Encoder
-    orientation: Orientation
-
-    def decode(self, model: Model) -> Dfa:
-        return self.encoder.decode(model)
-
-
 def _oriented(a1: Dfa, a2: Dfa, orientation: Orientation) -> tuple[Dfa, Dfa]:
     if orientation is Orientation.FIRST:
         return a1, a2
@@ -196,25 +73,6 @@ def _oriented(a1: Dfa, a2: Dfa, orientation: Orientation) -> tuple[Dfa, Dfa]:
 def _escape_region(target: Dfa, escape: Dfa) -> Dfa:
     """Minimal DFA for the words inside the target but outside the other."""
     return product(target.minimize(), escape.minimize().complement(), lambda x, y: x and y).minimize()
-
-
-def encode_distinguishing(
-    a1: Dfa, a2: Dfa, k: int, orientation: Orientation
-) -> tuple[CnfInstance, DistinguishingEncoding]:
-    """CNF satisfiable iff some complete k-state DFA (initial state 0)
-    lies inside the orientation's target language and escapes the other.
-
-    The decode context turns a model back into the candidate DFA.
-    """
-    _require_same_alphabet(a1, a2)
-    if k < 1:
-        raise ValueError(f"state bound must be positive, got {k}")
-    target, escape = _oriented(a1, a2, orientation)
-    region = _escape_region(target, escape)
-    encoder = _Encoder(a1.alphabet, k)
-    encoder.add_inclusion(target.minimize())
-    encoder.add_escape_path(region, k * region.state_count)
-    return encoder.instance(), DistinguishingEncoding(encoder, orientation)
 
 
 class _PairSpace:

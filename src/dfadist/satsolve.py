@@ -111,17 +111,13 @@ def solve(instance: CnfInstance) -> Model | None:
     with unit propagation after every decision, so the returned model is
     a deterministic function of the instance.
     """
-    return _dpll(instance.var_count, instance.clauses)
-
-
-def _dpll(nvars: int, instance_clauses: Sequence[Sequence[int]]) -> Model | None:
-    """solve() without the CnfInstance wrapper; callers guarantee validity."""
+    nvars = instance.var_count
     assign: list[bool | None] = [None] * (nvars + 1)
     trail: list[int] = []
     # watch lists: literal -> clauses (as mutable lists with watches at slots 0/1)
     watch: dict[int, list[list[int]]] = {}
     units: list[int] = []
-    for clause in instance_clauses:
+    for clause in instance.clauses:
         lits = list(dict.fromkeys(clause))
         if not lits:
             return None

@@ -80,6 +80,12 @@ def test_dfa_requires_total_in_range_table():
         Dfa("a", [(0,)], 1, set())  # initial out of range
     with pytest.raises(AutomataError):
         Dfa("a", [(0,)], 0, {3})  # accepting out of range
+    with pytest.raises(AutomataError):
+        Dfa("a", [(True,), (0,)], 0, set())  # bool target
+    with pytest.raises(AutomataError):
+        Dfa("a", [(0,), (0,)], 0.0, set())  # float initial
+    with pytest.raises(AutomataError):
+        Dfa("a", [(0,), (0,)], 0, {True})  # bool accepting state
 
 
 @given(dfas())

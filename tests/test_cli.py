@@ -127,6 +127,15 @@ def test_synth_alphabet_mismatch_is_input_error(workdir, capsys):
     assert "alphabet mismatch" in err
 
 
+def test_synth_zero_budget_is_input_error(workdir, capsys):
+    code, out, err = run(
+        capsys, "synth", workdir / "example_a.dfa", workdir / "example_b.dfa", "--max-k", "0"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: state budget must be positive, got 0\n"
+
+
 # ---------------------------------------------------------------------
 # reduce / sat / verify-lemma
 # ---------------------------------------------------------------------

@@ -6,13 +6,14 @@ import pytest
 from dfadist.automata import AlphabetError, Dfa, is_equivalent, is_subset
 from dfadist.distinguish import (
     Orientation,
+    _escape_region,
+    _PairSpace,
+    _search_feasible,
     brute_force_min_distinguishing,
-    encode_distinguishing,
     is_distinguishing,
     shortest_distinguishing_word,
     synth_min_distinguishing,
 )
-from dfadist.satsolve import solve
 
 from support import all_words, random_dfa
 
@@ -102,57 +103,39 @@ def test_distinguishing_alphabet_mismatch(example_a, example_b):
 
 
 # ---------------------------------------------------------------------
-# CNF encoding
+# per-orientation feasibility of the search
 # ---------------------------------------------------------------------
 
-def test_encode_example_pair_two_states_satisfiable(example_a, example_b):
-    instance, context = encode_distinguishing(example_a, example_b, 2, Orientation.FIRST)
-    model = solve(instance)
-    assert model is not None
-    decoded = context.decode(model)
-    assert decoded.state_count == 2
-    assert is_distinguishing(decoded, example_a, example_b)
-
-
-@pytest.mark.parametrize("orientation", list(Orientation))
-def test_encode_example_pair_one_state_unsat(example_a, example_b, orientation):
-    # cross-check: neither single-state language (empty or universal)
-    # distinguishes the pair
-    assert not brute_force_min_distinguishing(example_a, example_b, 1).found
-    instance, _ = encode_distinguishing(example_a, example_b, 1, orientation)
-    assert solve(instance) is None
-
-
-def test_encode_equal_languages_unsat(example_a):
-    for orientation in Orientation:
-        for k in (1, 2, 3):
-            instance, _ = encode_distinguishing(example_a, example_a, k, orientation)
-            assert solve(instance) is None
-
-
-def test_encode_rejects_zero_bound(example_a, example_b):
-    with pytest.raises(ValueError):
-        encode_distinguishing(example_a, example_b, 0, Orientation.FIRST)
-
-
-def test_encode_feasibility_matches_exhaustive_reference(rng):
-    checked = 0
-    while checked < 12:
-        a = random_dfa(rng, 2)
-        b = random_dfa(rng, 2)
-        if is_equivalent(a, b):
-            continue
-        checked += 1
-        for k in (1, 2):
-            for orientation in Orientation:
-                target, escape = (a, b) if orientation is Orientation.FIRST else (b, a)
-                instance, context = encode_distinguishing(a, b, k, orientation)
-                model = solve(instance)
-                assert (model is not None) == exhaustive_feasible("ab", k, target, escape)
-                if model is not None:
-                    decoded = context.decode(model)
-                    assert is_subset(decoded, target)
-                    assert not is_subset(decoded, escape)
+def test_search_feasibility_matches_exhaustive_reference(rng, example_a, example_b):
+    pairs = []
+    while len(pairs) < 12:
+        a, b = random_dfa(rng, 2), random_dfa(rng, 2)
+        if not is_equivalent(a, b):
+            pairs.append((a, b))
+    # one to four states: some orientations have an empty escape region
+    pairs += [inequivalent_pair(rng) for _ in range(12)]
+    pairs.append((example_a, example_b))
+    feasible = {}
+    empty_regions = 0
+    for i, (a, b) in enumerate(pairs):
+        for orientation in Orientation:
+            target, escape = (a, b) if orientation is Orientation.FIRST else (b, a)
+            region = _escape_region(target, escape)
+            empty_regions += not region.accepting
+            space = _PairSpace(target.minimize(), region)
+            for k in (1, 2):
+                found = _search_feasible(a.alphabet, k, space)
+                feasible[i, orientation, k] = found is not None
+                assert (found is not None) == exhaustive_feasible(a.alphabet, k, target, escape)
+                if found is not None:
+                    assert is_subset(found, target)
+                    assert not is_subset(found, escape)
+    assert empty_regions > 0
+    # the example pair: no single state separates it in either
+    # orientation, two states do with the first input as the target
+    example = len(pairs) - 1
+    assert not any(feasible[example, orientation, 1] for orientation in Orientation)
+    assert feasible[example, Orientation.FIRST, 2]
 
 
 # ---------------------------------------------------------------------
@@ -198,12 +181,11 @@ def test_synth_minimality_against_brute_force(rng):
             assert not brute_force_min_distinguishing(a, b, outcome.bound - 1).found
 
 
-def test_synth_minimality_against_encoding(example_a, example_b):
-    outcome = synth_min_distinguishing(example_a, example_b, 8)
-    assert outcome.bound == 2
-    for orientation in Orientation:
-        instance, _ = encode_distinguishing(example_a, example_b, outcome.bound - 1, orientation)
-        assert solve(instance) is None
+def test_synth_rejects_zero_budget(example_a, example_b):
+    with pytest.raises(ValueError):
+        synth_min_distinguishing(example_a, example_b, 0)
+    with pytest.raises(ValueError):
+        brute_force_min_distinguishing(example_a, example_b, 0)
 
 
 def test_synth_agrees_with_brute_force_on_thirty_pairs(rng):
