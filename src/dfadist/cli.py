@@ -2,7 +2,7 @@
 
 Machine-consumable results go to stdout, diagnostics to stderr.  Exit
 codes: 0 for true/success/found, 1 for false/none/unsat, 2 for usage or
-input errors.
+input errors and for running out of memory or recursion depth.
 """
 
 from __future__ import annotations
@@ -173,8 +173,19 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (AutomataError, DimacsParseError, FormulaError, ValueError, OSError) as err:
+    except (
+        AutomataError,
+        DimacsParseError,
+        FormulaError,
+        ValueError,
+        OSError,
+        RecursionError,
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError:
+        # usually raised without a message
+        print("error: out of memory", file=sys.stderr)
         return EXIT_ERROR
 
 

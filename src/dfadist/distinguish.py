@@ -16,7 +16,7 @@ and against an exhaustive per-orientation feasibility reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .automata import Alphabet, Dfa, Word, is_subset, product, _pair_search, _require_same_alphabet
@@ -38,12 +38,15 @@ class SynthOutcome:
     """Result of bounded synthesis: a DFA plus orientation, or nothing.
 
     ``bound`` is the state budget that produced the result: the
-    successful k, or the exhausted maximum.
+    successful k, or the exhausted maximum.  ``nodes`` counts the table
+    assignments the search tried over all k and orientations (0 from
+    the brute-force oracle); it does not take part in equality.
     """
 
     dfa: Dfa | None
     orientation: Orientation | None
     bound: int
+    nodes: int = field(default=0, compare=False)
 
     @property
     def found(self) -> bool:
@@ -96,35 +99,46 @@ class _PairSpace:
                 self.bad |= 1 << y
             if x in region.accepting:
                 self.goal |= 1 << y
-        self._step_cache: dict[tuple[int, int], int] = {}
+        # step kernel: per symbol, per 8-pair chunk of a mask, the images
+        # of all 256 byte values.  A chunk's table is built on first use,
+        # so a large space pays only for the chunks a search reaches.
+        self._chunks: list[list[list[int] | None]] = [
+            [None] * ((len(pairs) + 7) // 8) for _ in range(width)
+        ]
         self._escape_cache: dict[int, bool] = {}
+        self.nodes = 0  # assign calls made by searches over this space
+
+    def _chunk_table(self, c: int, chunk: int) -> list[int]:
+        table = [0]
+        for target in self.step[c][chunk * 8 : chunk * 8 + 8]:
+            bit = 1 << target
+            table += [m | bit for m in table]
+        self._chunks[c][chunk] = table
+        return table
 
     def step_set(self, c: int, mask: int) -> int:
         """Image of a pair set under one symbol."""
-        key = (c, mask)
-        out = self._step_cache.get(key)
-        if out is None:
-            out = 0
-            step_c = self.step[c]
-            m = mask
-            while m:
-                low = m & -m
-                out |= 1 << step_c[low.bit_length() - 1]
-                m ^= low
-            self._step_cache[key] = out
+        out = 0
+        tables = self._chunks[c]
+        for chunk, b in enumerate(mask.to_bytes((mask.bit_length() + 7) // 8, "little")):
+            if b:
+                table = tables[chunk] or self._chunk_table(c, chunk)
+                out |= table[b]
         return out
 
     def escape_possible(self, mask: int) -> bool:
         """Can some word image of this pair set be accepted safely?
 
         True iff some symbol sequence turns the set into one that meets
-        a goal pair while avoiding every bad pair.  Sound for pruning on
-        the initial state's set: in any completed table with a witness
-        word, that word's image of the set sits inside the accepting
-        state's final pair set (so it is bad-free) and contains the
-        witness's goal pair.
+        a goal pair while avoiding every bad pair.  A relaxation of the
+        rest of a witness: if a completed table reads a witness word as
+        u.v, and the set sits inside the pair set of the state u leads to
+        and holds u's image of pair 0, then v's image of the set sits
+        inside the accepting state's pair set (so it is bad-free) and
+        holds the witness's goal pair.
         """
-        cached = self._escape_cache.get(mask)
+        cache = self._escape_cache
+        cached = cache.get(mask)
         if cached is not None:
             return cached
         seen = {mask}
@@ -133,16 +147,22 @@ class _PairSpace:
             nxt = []
             for m in frontier:
                 if m & self.goal and not m & self.bad:
-                    self._escape_cache[mask] = True
+                    cache[mask] = True
                     return True
                 for c in range(self.width):
                     image = self.step_set(c, m)
-                    if image not in seen:
-                        seen.add(image)
+                    if image in seen:
+                        continue
+                    known = cache.get(image)
+                    if known:
+                        cache[mask] = True
+                        return True
+                    seen.add(image)
+                    if known is None:  # a known dead end is not expanded
                         nxt.append(image)
             frontier = nxt
         for m in seen:
-            self._escape_cache[m] = False
+            cache[m] = False
         return False
 
 
@@ -199,8 +219,11 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
     up to isomorphism), tracking per-state pair sets incrementally.  For
     a fixed table the best accepting set is forced: accept exactly the
     states whose pair set avoids every bad pair; the table succeeds iff
-    such a state meets a goal pair.  Subtrees are cut when the initial
-    state's pair set can no longer be steered onto a safe goal.
+    such a state meets a goal pair.  After every assignment, ``live``
+    checks whether the partial table can still be completed, within k
+    states, into one with a witness; subtrees where it cannot are cut.
+    The check only drops subtrees without a solution, so the first table
+    found is the one an unpruned search would find.
     """
     looped = _cycle_candidate(alphabet, k, space)
     if looped is not None:
@@ -211,7 +234,9 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
     # unassigned cells as a stack: depth-first demand chases loop-shaped
     # witnesses instead of fanning out across sibling cells
     todo = [(0, c) for c in reversed(range(width))]
-    step_set = space.step_set
+    step, step_set = space.step, space.step_set
+    escape_possible = space.escape_possible
+    goal, bad = space.goal, space.bad
 
     def propagate(state: int, add: int, trail: list[tuple[int, int]]) -> None:
         work = [(state, add)]
@@ -237,14 +262,14 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
         existing one without assigned cells.
         """
         winner = next(
-            (q for q, m in enumerate(tau) if m & space.goal and not m & space.bad), None
+            (q for q, m in enumerate(tau) if m & goal and not m & bad), None
         )
         if winner is None:
             return None
         used = len(tau)
         if len(delta) == used * width:
             rows = [[delta[q, c] for c in range(width)] for q in range(used)]
-            accepting = {q for q, m in enumerate(tau) if not m & space.bad}
+            accepting = {q for q, m in enumerate(tau) if not m & bad}
             return Dfa(alphabet, rows, 0, accepting)
         if used < k:
             sink = used
@@ -266,10 +291,55 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
             rows.append([sink] * width)
         else:
             rows[sink] = [sink] * width
-        accepting = {q for q, m in enumerate(tau) if not m & space.bad and q != sink}
+        accepting = {q for q, m in enumerate(tau) if not m & bad and q != sink}
         return Dfa(alphabet, rows, 0, accepting)
 
+    def live() -> bool:
+        """Can some completion with at most k states still hold a witness?
+
+        A witness is a word that leads the table from state 0 to an
+        accepting state and pair 0 to a goal pair.  The search follows
+        candidate witness words through configurations (state, pair),
+        starting at (0, 0).  In any such completion the pair set of the
+        current state includes its partial set plus the pair, so that
+        mask must be able to escape and, at the end, meets a goal pair
+        while avoiding every bad pair.  An unassigned cell may lead to
+        any used state, or to a fresh one, where ``escape_possible``
+        stands in for the rest of the word.
+        """
+        if any(m & goal and not m & bad for m in tau):
+            return True  # finish() closes the table
+        if not escape_possible(tau[0]):
+            return False
+        used = len(tau)
+        fresh = used < k
+        # cheap common case: a fresh state behind an open cell can escape
+        if fresh and any(escape_possible(step_set(c, tau[s])) for s, c in todo):
+            return True
+        seen = {(0, 0)}
+        stack = [(0, 0)]
+        while stack:
+            q, y = stack.pop()
+            for c in range(width):
+                y2 = step[c][y]
+                target = delta.get((q, c))
+                if target is None:
+                    if fresh and escape_possible(step_set(c, tau[q] | 1 << y)):
+                        return True
+                    targets = range(used)
+                else:
+                    targets = (target,)
+                for t in targets:
+                    mask = tau[t] | 1 << y2
+                    if 1 << y2 & goal and not mask & bad:
+                        return True
+                    if (t, y2) not in seen and escape_possible(mask):
+                        seen.add((t, y2))
+                        stack.append((t, y2))
+        return False
+
     def assign() -> Dfa | None:
+        space.nodes += 1
         done = finish()
         if done is not None:
             return done
@@ -287,9 +357,7 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
             delta[q, c] = q2
             trail: list[tuple[int, int]] = []
             propagate(q2, image, trail)
-            # every witness word starts at state 0, so its pair set must
-            # still be steerable onto a safe goal
-            if space.escape_possible(tau[0]):
+            if live():
                 result = assign()
                 if result is not None:
                     return result
@@ -337,8 +405,8 @@ def synth_min_distinguishing(a1: Dfa, a2: Dfa, k_max: int) -> SynthOutcome:
                     "synthesized candidate failed the distinguishing re-check; "
                     "this indicates an encoding bug"
                 )
-            return SynthOutcome(dfa, orientation, k)
-    return SynthOutcome(None, None, k_max)
+            return SynthOutcome(dfa, orientation, k, sum(s.nodes for _, s in prepared))
+    return SynthOutcome(None, None, k_max, sum(s.nodes for _, s in prepared))
 
 
 def brute_force_min_distinguishing(a1: Dfa, a2: Dfa, k_max: int) -> SynthOutcome:

@@ -234,6 +234,25 @@ def test_malformed_dfa_is_input_error(workdir, capsys):
     assert "line 6" in err
 
 
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (RecursionError("maximum recursion depth exceeded"), "error: maximum recursion depth exceeded"),
+        (MemoryError(), "error: out of memory"),
+    ],
+)
+def test_resource_exhaustion_exits_two(workdir, capsys, monkeypatch, error, line):
+    def exhausted(args):
+        raise error
+
+    monkeypatch.setattr("dfadist.cli._cmd_word", exhausted)
+    code, out, err = run(capsys, "word", workdir / "example_a.dfa", workdir / "example_b.dfa")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [line]
+    assert "Traceback" not in err
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

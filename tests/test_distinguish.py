@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from dfadist.automata import AlphabetError, Dfa, is_equivalent, is_subset
 from dfadist.distinguish import (
     Orientation,
+    SynthOutcome,
     _escape_region,
     _PairSpace,
     _search_feasible,
@@ -14,6 +16,7 @@ from dfadist.distinguish import (
     shortest_distinguishing_word,
     synth_min_distinguishing,
 )
+from dfadist.reduction import CnfFormula, build_lower_dfa, build_upper_dfa
 
 from support import all_words, random_dfa
 
@@ -204,6 +207,37 @@ def test_synth_agrees_with_brute_force_on_thirty_pairs(rng):
                 (a, b) if ours.orientation is Orientation.FIRST else (b, a)
             )
             assert is_subset(ours.dfa, target) and not is_subset(ours.dfa, escape)
+
+
+def test_synth_agrees_with_brute_force_over_three_symbols():
+    # the reduction's alphabet has three symbols; pairs that no two-state
+    # DFA separates make the search branch over fresh and used targets
+    rng = random.Random(11)  # its six pairs include one refuted at 3
+    checked = refuted = 0
+    while checked < 6:
+        a = random_dfa(rng, rng.randint(3, 6), "01#")
+        b = random_dfa(rng, rng.randint(3, 6), "01#")
+        if is_equivalent(a, b) or brute_force_min_distinguishing(a, b, 2).found:
+            continue
+        checked += 1
+        ours = synth_min_distinguishing(a, b, 3)
+        oracle = brute_force_min_distinguishing(a, b, 3)
+        assert (ours.found, ours.bound) == (oracle.found, oracle.bound)
+        refuted += not oracle.found
+    assert refuted >= 1
+
+
+def test_synth_counts_search_nodes():
+    # refuting every k <= 4 for the two-variable contradiction; pruning
+    # on the initial state's pair set alone takes 123,152 nodes
+    formula = CnfFormula(2, [(1,), (-1,)])
+    upper = build_upper_dfa(formula)
+    lower = build_lower_dfa(formula.var_count, formula.clause_count)
+    outcome = synth_min_distinguishing(upper, lower, 4)
+    assert not outcome.found
+    assert 0 < outcome.nodes <= 1000
+    # the count takes no part in equality
+    assert outcome == SynthOutcome(None, None, 4)
 
 
 def test_synth_singleton_word_upper_bound(rng):
