@@ -2,7 +2,8 @@
 
 Machine-consumable results go to stdout, diagnostics to stderr.  Exit
 codes: 0 for true/success/found, 1 for false/none/unsat, 2 for usage or
-input errors and for running out of memory or recursion depth.
+input errors, for running out of memory or recursion depth, and for an
+interrupt.
 """
 
 from __future__ import annotations
@@ -186,6 +187,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         # usually raised without a message
         print("error: out of memory", file=sys.stderr)
+        return EXIT_ERROR
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
         return EXIT_ERROR
 
 

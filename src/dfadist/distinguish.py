@@ -10,7 +10,10 @@ The per-bound question is "is there a k-state DFA whose language fits
 inside the target automaton and escapes the other one".
 ``synth_min_distinguishing`` answers it, per orientation, with a
 dedicated backtracking search over canonical transition tables.  The
-tests cross-validate that search against ``brute_force_min_distinguishing``
+search tracks pairs (t, x) of states that the two minimized inputs
+reach together: a candidate may not accept where t rejects, and it
+escapes once it accepts where t accepts and x rejects.  The tests
+cross-validate that search against ``brute_force_min_distinguishing``
 and against an exhaustive per-orientation feasibility reference.
 """
 
@@ -19,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .automata import Alphabet, Dfa, Word, is_subset, product, _pair_search, _require_same_alphabet
+from .automata import Alphabet, Dfa, Word, is_subset, _pair_search, _require_same_alphabet
 
 
 class Orientation(Enum):
@@ -67,37 +70,28 @@ def is_distinguishing(dfa: Dfa, a1: Dfa, a2: Dfa) -> bool:
     return is_subset(dfa, a1) != is_subset(dfa, a2)
 
 
-def _oriented(a1: Dfa, a2: Dfa, orientation: Orientation) -> tuple[Dfa, Dfa]:
-    if orientation is Orientation.FIRST:
-        return a1, a2
-    return a2, a1
-
-
-def _escape_region(target: Dfa, escape: Dfa) -> Dfa:
-    """Minimal DFA for the words inside the target but outside the other."""
-    return product(target.minimize(), escape.minimize().complement(), lambda x, y: x and y).minimize()
-
-
 class _PairSpace:
     """Joint tracking space for candidate synthesis against one orientation.
 
-    A node is a reachable (target-state, escape-region-state) pair; the
-    search follows candidate states through this space.  ``bad`` marks
-    pairs a candidate state must not accept at (inclusion would break),
-    ``goal`` marks pairs whose acceptance certifies the escape.  Pair
-    sets are bitmasks.
+    A node is a pair (t, x) of states that the target and the other
+    automaton reach together; the search follows candidate states
+    through this space.  ``bad`` marks pairs where t rejects (accepting
+    there would break inclusion in the target), ``goal`` marks pairs
+    where t accepts and x rejects (accepting there certifies the
+    escape).  ``goal`` is empty exactly when L(target) is inside
+    L(other).  Pair sets are bitmasks.
     """
 
-    def __init__(self, target_min: Dfa, region: Dfa):
-        pairs, rows, _ = _pair_search(target_min, region)
-        self.width = width = len(target_min.alphabet)
+    def __init__(self, target: Dfa, other: Dfa):
+        pairs, rows, _ = _pair_search(target, other)
+        self.width = width = len(target.alphabet)
         self.step = [[rows[y][c] for y in range(len(pairs))] for c in range(width)]
         self.bad = 0
         self.goal = 0
         for y, (t, x) in enumerate(pairs):
-            if t not in target_min.accepting:
+            if t not in target.accepting:
                 self.bad |= 1 << y
-            if x in region.accepting:
+            elif x not in other.accepting:
                 self.goal |= 1 << y
         # step kernel: per symbol, per 8-pair chunk of a mask, the images
         # of all 256 byte values.  A chunk's table is built on first use,
@@ -384,16 +378,14 @@ def synth_min_distinguishing(a1: Dfa, a2: Dfa, k_max: int) -> SynthOutcome:
     _require_same_alphabet(a1, a2)
     if k_max < 1:
         raise ValueError(f"state budget must be positive, got {k_max}")
+    m1, m2 = a1.minimize(), a2.minimize()
     prepared = []
-    for orientation in (Orientation.FIRST, Orientation.SECOND):
-        target, escape = _oriented(a1, a2, orientation)
-        region = _escape_region(target, escape)
-        # empty region: the target language is inside the other, so no
-        # subset of it can escape; skip the orientation outright.  The
-        # region is minimized, so every state is reachable.
-        if not region.accepting:
-            continue
-        prepared.append((orientation, _PairSpace(target.minimize(), region)))
+    for orientation, target, other in ((Orientation.FIRST, m1, m2), (Orientation.SECOND, m2, m1)):
+        space = _PairSpace(target, other)
+        # no goal pair: the target language is inside the other, so no
+        # subset of it can escape; skip the orientation outright
+        if space.goal:
+            prepared.append((orientation, space))
     for k in range(1, k_max + 1):
         for orientation, space in prepared:
             candidate = _search_feasible(a1.alphabet, k, space)

@@ -239,6 +239,7 @@ def test_malformed_dfa_is_input_error(workdir, capsys):
     [
         (RecursionError("maximum recursion depth exceeded"), "error: maximum recursion depth exceeded"),
         (MemoryError(), "error: out of memory"),
+        (KeyboardInterrupt(), "error: interrupted"),
     ],
 )
 def test_resource_exhaustion_exits_two(workdir, capsys, monkeypatch, error, line):

@@ -8,7 +8,6 @@ from dfadist.automata import AlphabetError, Dfa, is_equivalent, is_subset
 from dfadist.distinguish import (
     Orientation,
     SynthOutcome,
-    _escape_region,
     _PairSpace,
     _search_feasible,
     brute_force_min_distinguishing,
@@ -115,17 +114,18 @@ def test_search_feasibility_matches_exhaustive_reference(rng, example_a, example
         a, b = random_dfa(rng, 2), random_dfa(rng, 2)
         if not is_equivalent(a, b):
             pairs.append((a, b))
-    # one to four states: some orientations have an empty escape region
+    # one to four states: some targets lie inside the other language
     pairs += [inequivalent_pair(rng) for _ in range(12)]
     pairs.append((example_a, example_b))
     feasible = {}
-    empty_regions = 0
+    skipped = 0
     for i, (a, b) in enumerate(pairs):
         for orientation in Orientation:
             target, escape = (a, b) if orientation is Orientation.FIRST else (b, a)
-            region = _escape_region(target, escape)
-            empty_regions += not region.accepting
-            space = _PairSpace(target.minimize(), region)
+            space = _PairSpace(target.minimize(), escape.minimize())
+            # synthesis skips an orientation without goal pairs
+            assert (space.goal == 0) == is_subset(target, escape)
+            skipped += not space.goal
             for k in (1, 2):
                 found = _search_feasible(a.alphabet, k, space)
                 feasible[i, orientation, k] = found is not None
@@ -133,7 +133,7 @@ def test_search_feasibility_matches_exhaustive_reference(rng, example_a, example
                 if found is not None:
                     assert is_subset(found, target)
                     assert not is_subset(found, escape)
-    assert empty_regions > 0
+    assert skipped > 0
     # the example pair: no single state separates it in either
     # orientation, two states do with the first input as the target
     example = len(pairs) - 1
@@ -158,6 +158,8 @@ def test_synth_equal_languages_none(example_a):
     assert not outcome.found
     assert outcome.dfa is None and outcome.orientation is None
     assert outcome.bound == 4
+    # both orientations are skipped before any search
+    assert outcome.nodes == 0
 
 
 def test_synth_is_deterministic(example_a, example_b):
