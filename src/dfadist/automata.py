@@ -8,14 +8,14 @@ construction, so every operation can assume a complete DFA.  Provides:
   behind the product (reachable pairs only), the shortest accepted word
   (alphabet-order tie break), inclusion and equivalence; the last three
   stop at the first witness pair and rebuild it from parent pointers
-- Hopcroft minimization with canonical BFS state numbering
+- Hopcroft minimization, its blocks numbered in BFS order
 - the line-based ``.dfa`` text format and Graphviz DOT export
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator
 
 Word = str
 
@@ -97,7 +97,10 @@ class Dfa:
     def __post_init__(self):
         if isinstance(self.alphabet, str):
             object.__setattr__(self, "alphabet", Alphabet(self.alphabet))
-        object.__setattr__(self, "delta", tuple(tuple(row) for row in self.delta))
+        # from a list: tuple() of a generator allocates 10 slots and then
+        # resizes, so each freed table fills CPython's tuple free list of
+        # another size, which only a full collection empties again
+        object.__setattr__(self, "delta", tuple([tuple(row) for row in self.delta]))
         object.__setattr__(self, "accepting", frozenset(self.accepting))
         m = len(self.delta)
         if m == 0:
@@ -172,28 +175,26 @@ class Dfa:
         """Unique minimal complete DFA for the same language.
 
         Partition refinement (Hopcroft) over the reachable states, then
-        canonical renumbering in BFS order with alphabet-ordered edges,
-        so the result is deterministic and minimize is idempotent.
-        Unreachable states are dropped.
+        one BFS over the blocks from the initial state's, with
+        alphabet-ordered edges, numbers the blocks and writes the
+        quotient rows, so the result is deterministic and minimize is
+        idempotent.  Unreachable states are dropped.
         """
-        reachable = self.reachable_states()
-        blocks = _hopcroft(self, reachable)
-        block_of = {}
-        for i, block in enumerate(blocks):
-            for q in block:
-                block_of[q] = i
-        width = len(self.alphabet)
-        quot_delta = []
-        for block in blocks:
-            rep = next(iter(block))
-            quot_delta.append([block_of[self.delta[rep][c]] for c in range(width)])
-        quot_accepting = {i for i, block in enumerate(blocks) if next(iter(block)) in self.accepting}
-        quot_initial = block_of[self.initial]
-        return _bfs_renumber(self.alphabet, quot_delta, quot_initial, quot_accepting)
-
-    def nerode_class_count(self) -> int:
-        """Number of equivalence classes of the language's residual relation."""
-        return self.minimize().state_count
+        block_of = _hopcroft(self, self.reachable_states())
+        new_id = {block_of[self.initial]: 0}
+        order = [self.initial]  # one representative state per block
+        delta = []
+        for q in order:
+            row = []
+            for t in self.delta[q]:
+                block = block_of[t]
+                if block not in new_id:
+                    new_id[block] = len(order)
+                    order.append(t)
+                row.append(new_id[block])
+            delta.append(row)
+        accepting = {i for i, q in enumerate(order) if q in self.accepting}
+        return Dfa(self.alphabet, delta, 0, accepting)
 
     def to_dot(self) -> str:
         """Graphviz digraph with an entry arrow and doublecircle accepting states."""
@@ -209,18 +210,17 @@ class Dfa:
         return "\n".join(lines) + "\n"
 
 
-def _hopcroft(dfa: Dfa, reachable: list[int]) -> list[frozenset[int]]:
+def _hopcroft(dfa: Dfa, reachable: list[int]) -> dict[int, frozenset[int]]:
     """Hopcroft's refinement restricted to the reachable states.
 
-    Returns the coarsest partition into language-equivalence classes,
-    as a deterministically ordered list of blocks.
+    Returns each reachable state's block in the coarsest partition into
+    language-equivalence classes.
     """
-    states = set(reachable)
     final = frozenset(q for q in reachable if q in dfa.accepting)
-    nonfinal = frozenset(states - final)
-    partition = {b for b in (final, nonfinal) if b}
-    if len(partition) <= 1:
-        return [frozenset(states)]
+    nonfinal = frozenset(reachable) - final
+    block_of = {q: block for block in (final, nonfinal) for q in block}
+    if not final or not nonfinal:
+        return block_of
 
     preds: dict[tuple[int, int], list[int]] = {}
     width = len(dfa.alphabet)
@@ -228,11 +228,6 @@ def _hopcroft(dfa: Dfa, reachable: list[int]) -> list[frozenset[int]]:
         row = dfa.delta[q]
         for c in range(width):
             preds.setdefault((c, row[c]), []).append(q)
-
-    block_of = {}
-    for block in partition:
-        for q in block:
-            block_of[q] = block
 
     # a set: the coarsest partition is unique, so pop order cannot matter
     worklist = {min(final, nonfinal, key=len)}
@@ -248,9 +243,6 @@ def _hopcroft(dfa: Dfa, reachable: list[int]) -> list[frozenset[int]]:
                     continue
                 part1 = frozenset(overlap)
                 part2 = block - part1
-                partition.remove(block)
-                partition.add(part1)
-                partition.add(part2)
                 for q in part1:
                     block_of[q] = part1
                 for q in part2:
@@ -260,31 +252,7 @@ def _hopcroft(dfa: Dfa, reachable: list[int]) -> list[frozenset[int]]:
                     worklist |= {part1, part2}
                 else:
                     worklist.add(min(part1, part2, key=len))
-
-    # order blocks by their smallest member for reproducibility
-    return sorted(partition, key=min)
-
-
-def _bfs_renumber(
-    alphabet: Alphabet,
-    delta: Sequence[Sequence[int]],
-    initial: int,
-    accepting: Iterable[int],
-) -> Dfa:
-    """Renumber states by BFS discovery order from the initial state."""
-    accepting = set(accepting)
-    width = len(alphabet)
-    new_id = {initial: 0}
-    order = [initial]
-    for q in order:
-        for c in range(width):
-            t = delta[q][c]
-            if t not in new_id:
-                new_id[t] = len(order)
-                order.append(t)
-    new_delta = [[new_id[delta[q][c]] for c in range(width)] for q in order]
-    new_accepting = {new_id[q] for q in order if q in accepting}
-    return Dfa(alphabet, new_delta, 0, new_accepting)
+    return block_of
 
 
 def _pair_search(

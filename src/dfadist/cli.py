@@ -3,13 +3,16 @@
 Machine-consumable results go to stdout, diagnostics to stderr.  Exit
 codes: 0 for true/success/found, 1 for false/none/unsat, 2 for usage or
 input errors, for running out of memory or recursion depth, and for an
-interrupt.
+interrupt.  A DIMACS file whose header declares a different clause count
+than it holds is still read, with one ``warning:`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
+import warnings
 from pathlib import Path
 
 from .automata import AutomataError, Dfa, is_equivalent, is_subset, parse_dfa, serialize_dfa
@@ -20,7 +23,7 @@ from .distinguish import (
     synth_min_distinguishing,
 )
 from .reduction import CnfFormula, FormulaError, build_lower_dfa, build_upper_dfa, verify_lemma
-from .satsolve import DimacsParseError, parse_dimacs, solve
+from .satsolve import CnfInstance, DimacsParseError, parse_dimacs, solve
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -31,9 +34,19 @@ def _load_dfa(path: str) -> Dfa:
     return parse_dfa(Path(path).read_text(encoding="utf-8"))
 
 
+def _read_cnf(path: str) -> CnfInstance:
+    """Parse a DIMACS file; each parser warning becomes one stderr line."""
+    text = Path(path).read_text(encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        instance = parse_dimacs(text)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    return instance
+
+
 def _load_cnf(path: str) -> CnfFormula:
-    instance = parse_dimacs(Path(path).read_text(encoding="utf-8"))
-    return CnfFormula.from_instance(instance)
+    return CnfFormula.from_instance(_read_cnf(path))
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
@@ -100,8 +113,7 @@ def _cmd_dot(args: argparse.Namespace) -> int:
 
 
 def _cmd_sat(args: argparse.Namespace) -> int:
-    instance = parse_dimacs(Path(args.cnf).read_text(encoding="utf-8"))
-    model = solve(instance)
+    model = solve(_read_cnf(args.cnf))
     if model is None:
         print("s UNSATISFIABLE")
         return EXIT_FALSE
@@ -117,63 +129,52 @@ def _cmd_verify_lemma(args: argparse.Namespace) -> int:
     return EXIT_TRUE if report.consistent else EXIT_FALSE
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# subcommand -> (help, positional arguments); main dispatches to
+# _cmd_<name>, looked up at call time so a rebound handler is reached
+_COMMANDS = {
+    "reduce": (
+        "compile a DIMACS CNF into the upper/lower .dfa pair",
+        ("cnf", "out_upper", "out_lower"),
+    ),
+    "synth": ("synthesize a minimal distinguishing DFA", ("a1", "a2")),
+    "word": ("shortest word accepted by exactly one of two DFAs", ("a1", "a2")),
+    "check": ("boolean language checks", ()),
+    "minimize": ("print the minimal DFA in .dfa format", ("dfa",)),
+    "dot": ("print the DFA as a Graphviz digraph", ("dfa",)),
+    "sat": ("solve a DIMACS CNF", ("cnf",)),
+    "verify-lemma": ("check satisfiability against minimal distinguisher size", ("cnf",)),
+}
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dfadist",
         description="DFA algebra, distinguishing-DFA synthesis, and the CNF-to-DFA-pair pipeline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, positionals) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for arg in positionals:
+            p.add_argument(arg)
 
-    p = sub.add_parser("reduce", help="compile a DIMACS CNF into the upper/lower .dfa pair")
-    p.add_argument("cnf")
-    p.add_argument("out_upper")
-    p.add_argument("out_lower")
-    p.set_defaults(func=_cmd_reduce)
+    synth = sub.choices["synth"]
+    synth.add_argument("--max-k", type=int, required=True, help="largest state count to try")
+    synth.add_argument("--emit", help="write the synthesized DFA here")
 
-    p = sub.add_parser("synth", help="synthesize a minimal distinguishing DFA")
-    p.add_argument("a1")
-    p.add_argument("a2")
-    p.add_argument("--max-k", type=int, required=True, help="largest state count to try")
-    p.add_argument("--emit", help="write the synthesized DFA here")
-    p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser("word", help="shortest word accepted by exactly one of two DFAs")
-    p.add_argument("a1")
-    p.add_argument("a2")
-    p.set_defaults(func=_cmd_word)
-
-    p = sub.add_parser("check", help="boolean language checks")
-    check_sub = p.add_subparsers(dest="check_kind", required=True)
+    check_sub = sub.choices["check"].add_subparsers(dest="check_kind", required=True)
     for kind, (help_text, names, _) in _CHECKS.items():
         q = check_sub.add_parser(kind, help=help_text)
         for name in names:
             q.add_argument(name)
-        q.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("minimize", help="print the minimal DFA in .dfa format")
-    p.add_argument("dfa")
-    p.set_defaults(func=_cmd_minimize)
-
-    p = sub.add_parser("dot", help="print the DFA as a Graphviz digraph")
-    p.add_argument("dfa")
-    p.set_defaults(func=_cmd_dot)
-
-    p = sub.add_parser("sat", help="solve a DIMACS CNF")
-    p.add_argument("cnf")
-    p.set_defaults(func=_cmd_sat)
-
-    p = sub.add_parser("verify-lemma", help="check satisfiability against minimal distinguisher size")
-    p.add_argument("cnf")
-    p.set_defaults(func=_cmd_verify_lemma)
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except (
         AutomataError,
         DimacsParseError,

@@ -364,7 +364,13 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
         todo.append((q, c))
         return None
 
-    return assign()
+    try:
+        return assign()
+    finally:
+        # assign reaches itself through its closure; breaking that cycle
+        # frees the search state and the pair space now, not at the next
+        # cyclic collection
+        del assign
 
 
 def synth_min_distinguishing(a1: Dfa, a2: Dfa, k_max: int) -> SynthOutcome:

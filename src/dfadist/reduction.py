@@ -18,10 +18,11 @@ repeated forever is such a small distinguisher.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from .automata import Dfa, Word
+from .automata import Dfa, Word, product
 from .distinguish import SynthOutcome, is_distinguishing, synth_min_distinguishing
 from .satsolve import CnfInstance, Model, solve
 
@@ -160,66 +161,33 @@ def build_lower_dfa(k: int, n: int) -> Dfa:
 def build_upper_dfa(formula: CnfFormula) -> Dfa:
     """Minimal complete DFA of the upper language for the formula.
 
-    Tracks (block, position, clause-already-satisfied) while every
-    completed block has satisfied its clause, drops to a blocks-only
-    layer once one fails, and jumps to an all-accepting absorbing state
-    after n satisfying blocks.  Minimized before returning.
+    The satisfying-prefix automaton tracks (block, position,
+    clause-already-satisfied) while every completed block has satisfied
+    its clause, rejects once one fails, and jumps to an all-accepting
+    absorbing state after n satisfying blocks.  The upper DFA is its
+    union with the lower DFA: the product, minimized.
     """
     k, n = formula.var_count, formula.clause_count
     span = k + 1
-
-    # state ids: on-track (i, p, sat), off-track (i, p), absorb, final, sink
-    def on(i: int, p: int, sat: bool) -> int:
-        return (i * span + p) * 2 + (1 if sat else 0)
-
-    off_base = 2 * n * span
-
-    def off(i: int, p: int) -> int:
-        return off_base + i * span + p
-
-    absorb = off_base + n * span
-    final = absorb + 1
-    sink = absorb + 2
-
-    sat_by_one = []  # clause i satisfied by bit value at position p
-    sat_by_zero = []
-    for clause in formula.clauses:
-        sat_by_one.append([(p + 1) in clause for p in range(k)])
-        sat_by_zero.append([-(p + 1) in clause for p in range(k)])
-
-    rows: dict[int, tuple[int, int, int]] = {}
-    for i in range(n):
+    # state (block i, position p, clause i satisfied) is 2 * (i * span + p) + sat;
+    # the start of block n is the accepting absorbing state
+    absorb = 2 * n * span
+    sink = absorb + 1
+    delta = []
+    for i, clause in enumerate(formula.clauses):
         for p in range(span):
+            after = 2 * (i * span + p + 1)  # next position, or the next block after '#'
             for sat in (False, True):
-                state = on(i, p, sat)
                 if p < k:
-                    on_zero = on(i, p + 1, sat or sat_by_zero[i][p])
-                    on_one = on(i, p + 1, sat or sat_by_one[i][p])
-                    rows[state] = (on_zero, on_one, sink)
-                elif sat:
-                    after = on(i + 1, 0, False) if i + 1 < n else absorb
-                    rows[state] = (sink, sink, after)
+                    on_zero = after + (sat or -(p + 1) in clause)
+                    on_one = after + (sat or (p + 1) in clause)
+                    delta.append((on_zero, on_one, sink))
                 else:
-                    after = off(i + 1, 0) if i + 1 < n else final
-                    rows[state] = (sink, sink, after)
-            off_state = off(i, p)
-            if p < k:
-                rows[off_state] = (off(i, p + 1), off(i, p + 1), sink)
-            else:
-                after = off(i + 1, 0) if i + 1 < n else final
-                rows[off_state] = (sink, sink, after)
-    rows[absorb] = (absorb, absorb, absorb)
-    rows[final] = (sink, sink, sink)
-    rows[sink] = (sink, sink, sink)
-
-    accepting = {absorb, final}
-    for i in range(n):
-        accepting.add(on(i, 0, False))
-        accepting.add(on(i, 0, True))
-        accepting.add(off(i, 0))
-    state_count = absorb + 3
-    delta = tuple(rows[q] for q in range(state_count))
-    return Dfa(REDUCTION_ALPHABET, delta, 0, accepting).minimize()
+                    delta.append((sink, sink, after if sat else sink))
+    delta.append((absorb, absorb, absorb))
+    delta.append((sink, sink, sink))
+    prefix = Dfa(REDUCTION_ALPHABET, delta, 0, {absorb})
+    return product(prefix, build_lower_dfa(k, n), operator.or_).minimize()
 
 
 def witness_dfa(assignment: Assignment) -> Dfa:

@@ -380,18 +380,18 @@ def test_minimize_canonical_under_isomorphism(rng):
 
 
 def test_nerode_count_universal_language():
-    assert Dfa("ab", [(0, 0)], 0, {0}).nerode_class_count() == 1
+    assert Dfa("ab", [(0, 0)], 0, {0}).minimize().state_count == 1
 
 
 def test_nerode_count_block_loop():
     loop = Dfa("01#", [(2, 1, 2), (2, 2, 0), (2, 2, 2)], 0, {0})
-    assert loop.nerode_class_count() == 3
+    assert loop.minimize().state_count == 3
 
 
 def test_nerode_count_matches_residual_table(rng):
     for _ in range(8):
         d = random_dfa(rng, 8)
-        assert d.nerode_class_count() == nerode_class_count_oracle(d)
+        assert d.minimize().state_count == nerode_class_count_oracle(d)
 
 
 # ---------------------------------------------------------------------

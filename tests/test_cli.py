@@ -1,3 +1,4 @@
+import argparse
 import shutil
 
 import pytest
@@ -254,7 +255,82 @@ def test_resource_exhaustion_exits_two(workdir, capsys, monkeypatch, error, line
     assert "Traceback" not in err
 
 
+def test_clause_count_mismatch_is_one_warning_line(workdir, capsys):
+    short = workdir / "short.cnf"
+    short.write_text("p cnf 2 3\n1 0\n-2 0\n")
+    code, out, err = run(capsys, "sat", short)
+    assert code == 0
+    assert out == "s SATISFIABLE\nv 1 -2 0\n"
+    assert err == "warning: header declares 3 clauses, found 2\n"
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------
+# the parser: built once, no state between calls, help screens
+# ---------------------------------------------------------------------
+
+def test_parser_built_once_per_process(workdir, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    argv = ("word", workdir / "example_a.dfa", workdir / "example_b.dfa")
+    assert run(capsys, *argv)[:2] == (0, "aaaaaaa\n")
+    first = len(built)
+    assert run(capsys, *argv)[:2] == (0, "aaaaaaa\n")
+    assert len(built) == first
+
+
+def test_no_state_carries_over_between_calls(workdir, capsys):
+    emitted = workdir / "dist.dfa"
+    synth = ("synth", workdir / "example_a.dfa", workdir / "example_b.dfa", "--max-k", "4")
+    assert run(capsys, *synth, "--emit", emitted)[0] == 0
+    emitted.unlink()
+    assert run(capsys, *synth)[:2] == (0, "k=2 orientation=1\n")
+    assert not emitted.exists()
+
+    with pytest.raises(SystemExit) as exc:
+        main(["word", str(workdir / "example_a.dfa")])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "word", workdir / "example_a.dfa", workdir / "example_b.dfa")
+    assert (code, out) == (0, "aaaaaaa\n")
+
+
+def help_screen(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_lists_every_subcommand_in_order(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    commands = [
+        ("reduce", "compile a DIMACS CNF into the upper/lower .dfa pair"),
+        ("synth", "synthesize a minimal distinguishing DFA"),
+        ("word", "shortest word accepted by exactly one of two DFAs"),
+        ("check", "boolean language checks"),
+        ("minimize", "print the minimal DFA in .dfa format"),
+        ("dot", "print the DFA as a Graphviz digraph"),
+        ("sat", "solve a DIMACS CNF"),
+        ("verify-lemma", "check satisfiability against minimal distinguisher size"),
+    ]
+    out = help_screen(capsys)
+    assert "{" + ",".join(name for name, _ in commands) + "}" in out
+    listed = [line.split(None, 1) for line in out.splitlines() if line.startswith("    ")]
+    assert listed == [[name, help_text] for name, help_text in commands]
+
+    synth = help_screen(capsys, "synth")
+    assert "--max-k" in synth and "--emit" in synth
+    check = help_screen(capsys, "check")
+    assert all(kind in check for kind in ("subset", "equiv", "distinguishing"))

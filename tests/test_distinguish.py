@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import tracemalloc
@@ -240,6 +241,21 @@ def test_synth_counts_search_nodes():
     assert 0 < outcome.nodes <= 1000
     # the count takes no part in equality
     assert outcome == SynthOutcome(None, None, 4)
+
+
+def test_synth_leaves_no_cyclic_garbage():
+    # the search state and pair spaces are freed when the call returns,
+    # not left for the cyclic collector
+    formula = CnfFormula(2, [(1,), (-1,)])
+    upper = build_upper_dfa(formula)
+    lower = build_lower_dfa(formula.var_count, formula.clause_count)
+    gc.collect()
+    gc.disable()
+    try:
+        assert not synth_min_distinguishing(upper, lower, 4).found
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_synth_singleton_word_upper_bound(rng):

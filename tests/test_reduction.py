@@ -207,7 +207,7 @@ def test_witness_class_count_is_k_plus_two(k):
     bits = [(i * 7 + 3) % 2 == 0 for i in range(k)]
     wit = witness_dfa(bits)
     assert wit.state_count == k + 2
-    assert wit.nerode_class_count() == k + 2
+    assert wit.minimize().state_count == k + 2
 
 
 # ---------------------------------------------------------------------
