@@ -17,7 +17,6 @@ from .automata import (
 from .distinguish import (
     Orientation,
     SynthOutcome,
-    brute_force_min_distinguishing,
     is_distinguishing,
     shortest_distinguishing_word,
     synth_min_distinguishing,
@@ -31,11 +30,8 @@ from .reduction import (
     assignment_word,
     build_lower_dfa,
     build_upper_dfa,
-    in_lower_language,
-    in_upper_language,
     verify_lemma,
     witness_dfa,
-    word_assignment,
 )
 from .satsolve import CnfInstance, DimacsParseError, Model, evaluate, parse_dimacs, solve
 
@@ -57,12 +53,9 @@ __all__ = [
     "SynthOutcome",
     "Word",
     "assignment_word",
-    "brute_force_min_distinguishing",
     "build_lower_dfa",
     "build_upper_dfa",
     "evaluate",
-    "in_lower_language",
-    "in_upper_language",
     "is_distinguishing",
     "is_equivalent",
     "is_subset",
@@ -75,7 +68,6 @@ __all__ = [
     "synth_min_distinguishing",
     "verify_lemma",
     "witness_dfa",
-    "word_assignment",
 ]
 
 __version__ = "0.1.0"

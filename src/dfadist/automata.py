@@ -3,11 +3,11 @@
 States are dense indices 0..m-1 and the transition table is total by
 construction, so every operation can assume a complete DFA.  Provides:
 
-- immutable ``Dfa`` values with run/accept simulation, complement
+- immutable ``Dfa`` values with run/accept simulation
 - one early-exit BFS over the state pairs two automata reach together,
-  behind the product (reachable pairs only), the shortest accepted word
-  (alphabet-order tie break), inclusion and equivalence; the last three
-  stop at the first witness pair and rebuild it from parent pointers
+  behind the product (reachable pairs only), inclusion and equivalence;
+  it can stop at the first witness pair and rebuild its word from parent
+  pointers
 - Hopcroft minimization, its blocks numbered in BFS order
 - the line-based ``.dfa`` text format and Graphviz DOT export
 """
@@ -145,11 +145,6 @@ class Dfa:
         """Iterated table lookup; true iff the word ends in an accepting state."""
         return self.run(word) in self.accepting
 
-    def complement(self) -> Dfa:
-        """Same states and transitions, accepting set flipped."""
-        flipped = frozenset(range(self.state_count)) - self.accepting
-        return Dfa(self.alphabet, self.delta, self.initial, flipped)
-
     def reachable_states(self) -> list[int]:
         """States reachable from the initial one, in BFS discovery order."""
         seen = {self.initial}
@@ -160,16 +155,6 @@ class Dfa:
                     seen.add(t)
                     order.append(t)
         return order
-
-    def shortest_accepted_word(self) -> Word | None:
-        """Minimum-length accepted word, or None iff the language is empty.
-
-        Pair search over the diagonal; ties go to the earlier alphabet
-        symbol, so the result is the lexicographically first among the
-        shortest accepted words.
-        """
-        accepting = self.accepting
-        return _pair_search(self, self, lambda s, _: s in accepting)[2]
 
     def minimize(self) -> Dfa:
         """Unique minimal complete DFA for the same language.
@@ -428,7 +413,7 @@ def parse_dfa(text: str) -> Dfa:
     missing = [q for q in range(m) if q not in rows]
     if missing:
         raise DfaParseError(f"missing row for state {missing[0]}")
-    return Dfa(alphabet, tuple(rows[q] for q in range(m)), initial, accepting)
+    return Dfa(alphabet, [rows[q] for q in range(m)], initial, accepting)
 
 
 def serialize_dfa(dfa: Dfa) -> str:

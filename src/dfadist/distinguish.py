@@ -2,9 +2,8 @@
 
 A DFA distinguishes a pair of automata when its language is a subset of
 exactly one of the two.  This module provides shortest distinguishing
-words, the distinguishing predicate, exact synthesis of a minimal
-distinguishing DFA, and an exhaustive brute-force oracle used to
-cross-validate the synthesizer.
+words, the distinguishing predicate and exact synthesis of a minimal
+distinguishing DFA.
 
 The per-bound question is "is there a k-state DFA whose language fits
 inside the target automaton and escapes the other one".
@@ -13,8 +12,8 @@ dedicated backtracking search over canonical transition tables.  The
 search tracks pairs (t, x) of states that the two minimized inputs
 reach together: a candidate may not accept where t rejects, and it
 escapes once it accepts where t accepts and x rejects.  The tests
-cross-validate that search against ``brute_force_min_distinguishing``
-and against an exhaustive per-orientation feasibility reference.
+cross-validate that search against an exhaustive brute-force oracle and
+an exhaustive per-orientation feasibility reference.
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ class SynthOutcome:
 
     ``bound`` is the state budget that produced the result: the
     successful k, or the exhausted maximum.  ``nodes`` counts the table
-    assignments the search tried over all k and orientations (0 from
-    the brute-force oracle); it does not take part in equality.
+    assignments the search tried over all k and orientations; it does
+    not take part in equality.
     """
 
     dfa: Dfa | None
@@ -160,21 +159,34 @@ class _PairSpace:
         return False
 
 
+def _loop_dfa(alphabet: Alphabet, word: Word) -> Dfa:
+    """DFA of ``word`` repeated any number of times.
+
+    A cycle spelling the word, one state per position, plus a rejecting
+    sink that takes every other symbol; only state 0 accepts.
+    """
+    sink = len(word)
+    rows = []
+    for i, symbol in enumerate(word):
+        row = [sink] * len(alphabet)
+        row[alphabet.index(symbol)] = (i + 1) % sink
+        rows.append(row)
+    rows.append([sink] * len(alphabet))
+    return Dfa(alphabet, rows, 0, {0})
+
+
 def _cycle_candidate(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | None:
     """Cheap pre-pass: candidates that loop one word forever.
 
-    The automaton for the language "some word repeated any number of
-    times" is a cycle spelling the word plus a rejecting sink, one state
-    per word position.  Such loops are the natural shape of minimal
-    distinguishers here, so they are tried in length-lexicographic order
-    before the general search; every hit is verified against the pair
-    space, which keeps this sound.
+    Such loops (``_loop_dfa``, one state per word position plus a sink)
+    are the natural shape of minimal distinguishers here, so they are
+    tried in length-lexicographic order before the general search; every
+    hit is verified against the pair space, which keeps this sound.
     """
     width = space.width
     words: list[tuple[int, ...]] = [()]
     for length in range(1, k):
         words = [w + (c,) for w in words for c in range(width)]
-        sink = length
         for word in words:
             # follow the cycle in the pair space; every visited pair must
             # stay safe and some accepted iterate must hit a goal pair
@@ -193,15 +205,8 @@ def _cycle_candidate(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
                         hit = True
                 y = space.step[word[pos]][y]
                 pos = (pos + 1) % length
-            if not (ok and hit):
-                continue
-            rows = []
-            for i, c in enumerate(word):
-                row = [sink] * width
-                row[c] = (i + 1) % length
-                rows.append(tuple(row))
-            rows.append((sink,) * width)
-            return Dfa(alphabet, rows, 0, {0})
+            if ok and hit:
+                return _loop_dfa(alphabet, "".join(alphabet.symbols[c] for c in word))
     return None
 
 
@@ -252,40 +257,21 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
         A state whose pair set meets a goal pair and avoids every bad
         pair stays that way when all unassigned cells are routed into an
         absorbing non-accepting sink, because sink-bound flow never
-        enters any other state.  The sink is a fresh state, or an
-        existing one without assigned cells.
+        enters any other state.  The sink is a fresh state, so with all k
+        states used only a complete table closes.  A used state without
+        assigned cells cannot serve: under first-use numbering with the
+        LIFO ``todo`` stack it is the one just created, and so the winner.
         """
-        winner = next(
-            (q for q, m in enumerate(tau) if m & goal and not m & bad), None
-        )
-        if winner is None:
+        if not any(m & goal and not m & bad for m in tau):
             return None
         used = len(tau)
-        if len(delta) == used * width:
-            rows = [[delta[q, c] for c in range(width)] for q in range(used)]
-            accepting = {q for q, m in enumerate(tau) if not m & bad}
-            return Dfa(alphabet, rows, 0, accepting)
-        if used < k:
-            sink = used
-        else:
-            sink = next(
-                (
-                    q
-                    for q in range(used)
-                    if q != winner and all((q, c) not in delta for c in range(width))
-                ),
-                None,
-            )
-            if sink is None:
-                return None
-        rows = [
-            [delta.get((q, c), sink) for c in range(width)] for q in range(used)
-        ]
-        if sink == used:
-            rows.append([sink] * width)
-        else:
-            rows[sink] = [sink] * width
-        accepting = {q for q, m in enumerate(tau) if not m & bad and q != sink}
+        complete = len(delta) == used * width
+        if not complete and used == k:
+            return None
+        rows = [[delta.get((q, c), used) for c in range(width)] for q in range(used)]
+        if not complete:
+            rows.append([used] * width)
+        accepting = {q for q, m in enumerate(tau) if not m & bad}
         return Dfa(alphabet, rows, 0, accepting)
 
     def live() -> bool:
@@ -300,6 +286,10 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
         while avoiding every bad pair.  An unassigned cell may lead to
         any used state, or to a fresh one, where ``escape_possible``
         stands in for the rest of the word.
+
+        The first check, for a state that is already a witness, stays:
+        it is the only one that sees a witness through the empty word,
+        as the configuration search never tests (0, 0) as a goal.
         """
         if any(m & goal and not m & bad for m in tau):
             return True  # finish() closes the table
@@ -307,9 +297,6 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
             return False
         used = len(tau)
         fresh = used < k
-        # cheap common case: a fresh state behind an open cell can escape
-        if fresh and any(escape_possible(step_set(c, tau[s])) for s, c in todo):
-            return True
         seen = {(0, 0)}
         stack = [(0, 0)]
         while stack:
@@ -405,62 +392,3 @@ def synth_min_distinguishing(a1: Dfa, a2: Dfa, k_max: int) -> SynthOutcome:
                 )
             return SynthOutcome(dfa, orientation, k, sum(s.nodes for _, s in prepared))
     return SynthOutcome(None, None, k_max, sum(s.nodes for _, s in prepared))
-
-
-def brute_force_min_distinguishing(a1: Dfa, a2: Dfa, k_max: int) -> SynthOutcome:
-    """Exhaustive synthesis oracle; intended for k_max <= 3 and small alphabets.
-
-    Enumerates every complete k-state DFA with initial state 0 for
-    k = 1..k_max: transition tables as a base-k counter (alphabet-major,
-    later alphabet symbols in higher digits) and accepting sets as a
-    binary counter nested inside.  Returns the first distinguishing hit.
-    """
-    _require_same_alphabet(a1, a2)
-    if k_max < 1:
-        raise ValueError(f"state budget must be positive, got {k_max}")
-    width = len(a1.alphabet)
-    refs = []
-    for ref in (a1, a2):
-        bad_states = frozenset(range(ref.state_count)) - ref.accepting
-        refs.append((ref.delta, ref.initial, bad_states))
-    for k in range(1, k_max + 1):
-        cells = width * k
-        for table in range(k**cells):
-            digits = table
-            flat = []
-            for _ in range(cells):
-                flat.append(digits % k)
-                digits //= k
-            # cell (c, q) lives at digit c*k + q
-            delta = tuple(tuple(flat[c * k + q] for c in range(width)) for q in range(k))
-            bad_masks = []
-            for ref_delta, ref_initial, ref_bad in refs:
-                bad = 0
-                start = (0, ref_initial)
-                seen = {start}
-                stack = [start]
-                while stack:
-                    q, s = stack.pop()
-                    if s in ref_bad:
-                        bad |= 1 << q
-                    row = delta[q]
-                    rrow = ref_delta[s]
-                    for c in range(width):
-                        np = (row[c], rrow[c])
-                        if np not in seen:
-                            seen.add(np)
-                            stack.append(np)
-                bad_masks.append(bad)
-            bad1, bad2 = bad_masks
-            if bad1 == bad2:
-                # inclusion verdicts coincide for every accepting set
-                continue
-            for mask in range(1 << k):
-                inside1 = not (mask & bad1)
-                inside2 = not (mask & bad2)
-                if inside1 != inside2:
-                    accepting = {q for q in range(k) if mask & (1 << q)}
-                    dfa = Dfa(a1.alphabet, delta, 0, accepting)
-                    orientation = Orientation.FIRST if inside1 else Orientation.SECOND
-                    return SynthOutcome(dfa, orientation, k)
-    return SynthOutcome(None, None, k_max)

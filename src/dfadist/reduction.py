@@ -22,9 +22,9 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from .automata import Dfa, Word, product
-from .distinguish import SynthOutcome, is_distinguishing, synth_min_distinguishing
-from .satsolve import CnfInstance, Model, solve
+from .automata import Alphabet, Dfa, Word, product
+from .distinguish import SynthOutcome, _loop_dfa, is_distinguishing, synth_min_distinguishing
+from .satsolve import CnfInstance, Model, evaluate, solve
 
 REDUCTION_ALPHABET = "01#"
 
@@ -45,7 +45,7 @@ class CnfFormula:
     clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
+        object.__setattr__(self, "clauses", tuple([tuple(c) for c in self.clauses]))
         if self.var_count < 1:
             raise FormulaError(f"need at least one variable, got {self.var_count}")
         if not self.clauses:
@@ -77,58 +77,6 @@ Assignment = Sequence[bool]
 def assignment_word(assignment: Assignment) -> Word:
     """The 0/1 word encoding an assignment, i-th symbol for variable i+1."""
     return "".join("1" if bit else "0" for bit in assignment)
-
-
-def word_assignment(word: Word) -> tuple[bool, ...]:
-    """Inverse of assignment_word; the word must be over {0,1}."""
-    if any(c not in "01" for c in word):
-        raise ValueError(f"not an assignment word: {word!r}")
-    return tuple(c == "1" for c in word)
-
-
-def _clause_satisfied(clause: tuple[int, ...], bits: tuple[bool, ...]) -> bool:
-    return any(bits[abs(lit) - 1] == (lit > 0) for lit in clause)
-
-
-def _split_blocks(word: Word, k: int, count: int) -> list[tuple[bool, ...]] | None:
-    """First ``count`` assignment blocks of the word, or None if malformed."""
-    span = k + 1
-    if len(word) < span * count:
-        return None
-    blocks = []
-    for i in range(count):
-        chunk = word[i * span : (i + 1) * span]
-        if chunk[k] != "#" or any(c not in "01" for c in chunk[:k]):
-            return None
-        blocks.append(tuple(c == "1" for c in chunk[:k]))
-    return blocks
-
-
-def in_lower_language(word: Word, k: int, n: int) -> bool:
-    """Scan-based membership: j complete assignment blocks for some j in [0, n].
-
-    Reference decision procedure, deliberately independent of the DFA
-    construction.
-    """
-    span = k + 1
-    if len(word) % span != 0:
-        return False
-    j = len(word) // span
-    return j <= n and _split_blocks(word, k, j) is not None
-
-
-def in_upper_language(word: Word, formula: CnfFormula) -> bool:
-    """Scan-based membership: lower-language word, or n satisfying blocks
-    followed by an arbitrary suffix."""
-    k, n = formula.var_count, formula.clause_count
-    if in_lower_language(word, k, n):
-        return True
-    blocks = _split_blocks(word, k, n)
-    if blocks is None:
-        return False
-    return all(
-        _clause_satisfied(clause, bits) for clause, bits in zip(formula.clauses, blocks)
-    )
 
 
 def build_lower_dfa(k: int, n: int) -> Dfa:
@@ -194,16 +142,7 @@ def witness_dfa(assignment: Assignment) -> Dfa:
     """Exact (k+2)-state DFA of the words repeating ``assignment#`` any
     number of times: a k+1-state loop spelling the assignment block plus
     a rejecting sink."""
-    bits = tuple(bool(b) for b in assignment)
-    k = len(bits)
-    sink = k + 1
-    delta = []
-    for p, bit in enumerate(bits):
-        nxt = p + 1
-        delta.append((sink, nxt, sink) if bit else ((nxt, sink, sink)))
-    delta.append((sink, sink, 0))  # block complete: '#' closes the loop
-    delta.append((sink, sink, sink))
-    return Dfa(REDUCTION_ALPHABET, delta, 0, {0})
+    return _loop_dfa(Alphabet(REDUCTION_ALPHABET), assignment_word(assignment) + "#")
 
 
 @dataclass(frozen=True)
@@ -240,11 +179,17 @@ def verify_lemma(formula: CnfFormula) -> LemmaReport:
 
     Solves the formula, synthesizes a minimal distinguishing DFA for the
     (upper, lower) pair with budget k+2, and reports CONSISTENT iff both
-    answers agree.  For satisfiable formulas the explicit witness built
-    from the model is additionally checked to distinguish the pair.
+    answers agree.  A model from the solver is re-checked clause by
+    clause, and the explicit witness built from it is additionally
+    checked to distinguish the pair.
     """
     k, n = formula.var_count, formula.clause_count
-    model = solve(formula.as_instance())
+    instance = formula.as_instance()
+    model = solve(instance)
+    if model is not None and not evaluate(instance, model):
+        raise RuntimeError(
+            "solver model failed the clause re-check; this indicates a solver bug"
+        )
     upper = build_upper_dfa(formula)
     lower = build_lower_dfa(k, n)
     bound = k + 2

@@ -33,7 +33,7 @@ class CnfInstance:
     def __post_init__(self):
         if self.var_count < 1:
             raise ValueError(f"var_count must be positive, got {self.var_count}")
-        object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
+        object.__setattr__(self, "clauses", tuple([tuple(c) for c in self.clauses]))
         for clause in self.clauses:
             for lit in clause:
                 if lit == 0 or abs(lit) > self.var_count:
@@ -101,7 +101,7 @@ def parse_dimacs(text: str) -> CnfInstance:
             f"header declares {declared_clauses} clauses, found {len(clauses)}",
             stacklevel=2,
         )
-    return CnfInstance(var_count, tuple(tuple(c) for c in clauses))
+    return CnfInstance(var_count, clauses)
 
 
 def solve(instance: CnfInstance) -> Model | None:
@@ -183,7 +183,7 @@ def solve(instance: CnfInstance) -> Model | None:
         while cursor <= nvars and assign[cursor] is not None:
             cursor += 1
         if cursor > nvars:
-            return tuple(bool(assign[v]) for v in range(1, nvars + 1))
+            return tuple([bool(assign[v]) for v in range(1, nvars + 1)])
         var = cursor
         decisions.append((var, len(trail), False))
         assign[var] = False

@@ -2,7 +2,7 @@
 
 Every oracle here deliberately recomputes its answer by a different
 route than the code under test (exhaustive enumeration, truth tables,
-residual tables), so agreement is meaningful.
+residual tables, block-by-block word scans), so agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from dfadist.automata import Dfa
+from dfadist.automata import Dfa, Word, _require_same_alphabet
+from dfadist.distinguish import Orientation, SynthOutcome
 from dfadist.reduction import CnfFormula
 
 
@@ -44,6 +45,116 @@ def permuted_copy(dfa: Dfa, rng: random.Random) -> Dfa:
         delta,
         perm[dfa.initial],
         {perm[q] for q in dfa.accepting},
+    )
+
+
+def complement(dfa: Dfa) -> Dfa:
+    """Same states and transitions, accepting set flipped."""
+    flipped = frozenset(range(dfa.state_count)) - dfa.accepting
+    return Dfa(dfa.alphabet, dfa.delta, dfa.initial, flipped)
+
+
+def brute_force_min_distinguishing(a1: Dfa, a2: Dfa, k_max: int) -> SynthOutcome:
+    """Exhaustive synthesis oracle; intended for k_max <= 3 and small alphabets.
+
+    Enumerates every complete k-state DFA with initial state 0 for
+    k = 1..k_max: transition tables as a base-k counter (alphabet-major,
+    later alphabet symbols in higher digits) and accepting sets as a
+    binary counter nested inside.  Returns the first distinguishing hit.
+    """
+    _require_same_alphabet(a1, a2)
+    if k_max < 1:
+        raise ValueError(f"state budget must be positive, got {k_max}")
+    width = len(a1.alphabet)
+    refs = []
+    for ref in (a1, a2):
+        bad_states = frozenset(range(ref.state_count)) - ref.accepting
+        refs.append((ref.delta, ref.initial, bad_states))
+    for k in range(1, k_max + 1):
+        cells = width * k
+        for table in range(k**cells):
+            digits = table
+            flat = []
+            for _ in range(cells):
+                flat.append(digits % k)
+                digits //= k
+            # cell (c, q) lives at digit c*k + q
+            delta = tuple(tuple(flat[c * k + q] for c in range(width)) for q in range(k))
+            bad_masks = []
+            for ref_delta, ref_initial, ref_bad in refs:
+                bad = 0
+                start = (0, ref_initial)
+                seen = {start}
+                stack = [start]
+                while stack:
+                    q, s = stack.pop()
+                    if s in ref_bad:
+                        bad |= 1 << q
+                    row = delta[q]
+                    rrow = ref_delta[s]
+                    for c in range(width):
+                        np = (row[c], rrow[c])
+                        if np not in seen:
+                            seen.add(np)
+                            stack.append(np)
+                bad_masks.append(bad)
+            bad1, bad2 = bad_masks
+            if bad1 == bad2:
+                # inclusion verdicts coincide for every accepting set
+                continue
+            for mask in range(1 << k):
+                inside1 = not (mask & bad1)
+                inside2 = not (mask & bad2)
+                if inside1 != inside2:
+                    accepting = {q for q in range(k) if mask & (1 << q)}
+                    dfa = Dfa(a1.alphabet, delta, 0, accepting)
+                    orientation = Orientation.FIRST if inside1 else Orientation.SECOND
+                    return SynthOutcome(dfa, orientation, k)
+    return SynthOutcome(None, None, k_max)
+
+
+def _clause_satisfied(clause: tuple[int, ...], bits: tuple[bool, ...]) -> bool:
+    return any(bits[abs(lit) - 1] == (lit > 0) for lit in clause)
+
+
+def _split_blocks(word: Word, k: int, count: int) -> list[tuple[bool, ...]] | None:
+    """First ``count`` assignment blocks of the word, or None if malformed."""
+    span = k + 1
+    if len(word) < span * count:
+        return None
+    blocks = []
+    for i in range(count):
+        chunk = word[i * span : (i + 1) * span]
+        if chunk[k] != "#" or any(c not in "01" for c in chunk[:k]):
+            return None
+        blocks.append(tuple(c == "1" for c in chunk[:k]))
+    return blocks
+
+
+def in_lower_language(word: Word, k: int, n: int) -> bool:
+    """Scan-based membership: j complete assignment blocks for some j in [0, n].
+
+    Reference decision procedure, deliberately independent of the DFA
+    construction.
+    """
+    span = k + 1
+    if len(word) % span != 0:
+        return False
+    j = len(word) // span
+    return j <= n and _split_blocks(word, k, j) is not None
+
+
+def in_upper_language(word: Word, formula: CnfFormula) -> bool:
+    """Scan-based membership: lower-language word, or n satisfying blocks
+    followed by an arbitrary suffix."""
+    k, n = formula.var_count, formula.clause_count
+    if in_lower_language(word, k, n):
+        return True
+    blocks = _split_blocks(word, k, n)
+    if blocks is None:
+        return False
+    return all(
+        _clause_satisfied(clause, bits) for clause, bits in zip(formula.clauses, blocks)
     )
 
 

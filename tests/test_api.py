@@ -1,0 +1,21 @@
+"""The public surface carries only what the package itself runs."""
+
+import ast
+from pathlib import Path
+
+import dfadist
+
+PACKAGE_DIR = Path(dfadist.__file__).parent
+
+
+def test_every_public_name_has_a_caller():
+    # a name read (called, raised, annotated, subclassed) by some module
+    # other than __init__; definitions and imports are not reads
+    read = set()
+    for path in PACKAGE_DIR.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+    assert sorted(set(dfadist.__all__) - read) == []

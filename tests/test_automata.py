@@ -13,9 +13,11 @@ from dfadist.automata import (
     product,
     serialize_dfa,
 )
+from dfadist.distinguish import shortest_distinguishing_word
 
 from support import (
     all_words,
+    complement,
     language_up_to,
     nerode_class_count_oracle,
     permuted_copy,
@@ -28,6 +30,13 @@ OR = lambda x, y: x or y
 XOR = lambda x, y: x != y
 AND_NOT = lambda x, y: x and not y
 OPS = {"and": AND, "or": OR, "xor": XOR, "and-not": AND_NOT}
+
+
+def shortest_accepted(d: Dfa) -> str | None:
+    """Shortest accepted word: the shortest word separating L(d) from the
+    empty language."""
+    empty = Dfa(d.alphabet, [(0,) * len(d.alphabet)], 0, set())
+    return shortest_distinguishing_word(d, empty)
 
 
 @st.composite
@@ -106,7 +115,7 @@ def test_accepts_unary_cycle_word(example_a, example_b):
 
 def test_accepts_empty_word_depends_on_initial(example_a):
     assert not example_a.accepts("")
-    assert example_a.complement().accepts("")
+    assert complement(example_a).accepts("")
 
 
 def test_accepts_rejects_foreign_symbol(example_a):
@@ -128,7 +137,7 @@ def test_parse_example_b_file(data_dir):
 def test_parse_single_state_empty_language():
     d = parse_dfa("dfa v1\nalphabet a\nstates 1\ninitial 0\naccepting\nrow 0 0\n")
     assert d.state_count == 1
-    assert d.shortest_accepted_word() is None
+    assert shortest_accepted(d) is None
 
 
 def test_parse_comments_and_blank_lines():
@@ -198,17 +207,17 @@ def test_round_trip_identity(d):
 
 
 # ---------------------------------------------------------------------
-# product / complement
+# product
 # ---------------------------------------------------------------------
 
 def test_product_self_difference_is_empty(example_a):
-    assert product(example_a, example_a, XOR).shortest_accepted_word() is None
+    assert shortest_accepted(product(example_a, example_a, XOR)) is None
 
 
 def test_product_difference_contains_separating_word(example_a, example_b):
     diff = product(example_a, example_b, AND_NOT)
     assert diff.accepts("a" * 7)
-    assert diff.shortest_accepted_word() is not None
+    assert shortest_accepted(diff) is not None
 
 
 def test_product_reachable_size_bound(example_a, example_b):
@@ -229,39 +238,21 @@ def test_product_pointwise_agreement(pair, op_name, data):
     assert combined.accepts(word) == op(a.accepts(word), b.accepts(word))
 
 
-def test_complement_of_empty_is_universal(empty_lang):
-    assert empty_lang.complement().shortest_accepted_word() == ""
-
-
-def test_complement_is_involution(example_b):
-    assert example_b.complement().complement() == example_b
-
-
-def test_complement_flips_membership(example_a):
-    assert not example_a.complement().accepts("a" * 7)
-
-
-@given(dfas(), st.data())
-def test_complement_pointwise(d, data):
-    word = data.draw(st.text(alphabet=d.alphabet.symbols, max_size=12))
-    assert d.complement().accepts(word) == (not d.accepts(word))
-
-
 # ---------------------------------------------------------------------
-# shortest accepted word
+# shortest accepted word (the shortest word separating from the empty language)
 # ---------------------------------------------------------------------
 
 def test_shortest_word_empty_language(empty_lang):
-    assert empty_lang.shortest_accepted_word() is None
+    assert shortest_accepted(empty_lang) is None
 
 
 def test_shortest_word_initial_accepting():
     loop = Dfa("01#", [(2, 1, 2), (2, 2, 0), (2, 2, 2)], 0, {0})
-    assert loop.shortest_accepted_word() == ""
+    assert shortest_accepted(loop) == ""
 
 
 def test_shortest_word_of_difference_is_a7(example_a, example_b):
-    assert product(example_a, example_b, XOR).shortest_accepted_word() == "a" * 7
+    assert shortest_accepted(product(example_a, example_b, XOR)) == "a" * 7
 
 
 def test_shortest_word_alphabet_order_tie_break():
@@ -272,13 +263,13 @@ def test_shortest_word_alphabet_order_tie_break():
         0,
         {3},
     )
-    assert d.shortest_accepted_word() == "ab"
+    assert shortest_accepted(d) == "ab"
 
 
 def test_shortest_word_is_minimal(rng):
     for _ in range(25):
         d = random_dfa(rng, rng.randint(1, 5))
-        got = d.shortest_accepted_word()
+        got = shortest_accepted(d)
         accepted = language_up_to(d, 6)
         if got is None:
             assert accepted == []
@@ -289,7 +280,7 @@ def test_shortest_word_is_minimal(rng):
 @given(dfas())
 def test_shortest_word_none_iff_subset_of_empty(d):
     empty = Dfa(d.alphabet, [(0,) * len(d.alphabet)], 0, set())
-    assert (d.shortest_accepted_word() is None) == is_subset(d, empty)
+    assert (shortest_accepted(d) is None) == is_subset(d, empty)
 
 
 # ---------------------------------------------------------------------

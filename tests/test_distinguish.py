@@ -11,14 +11,13 @@ from dfadist.distinguish import (
     SynthOutcome,
     _PairSpace,
     _search_feasible,
-    brute_force_min_distinguishing,
     is_distinguishing,
     shortest_distinguishing_word,
     synth_min_distinguishing,
 )
 from dfadist.reduction import CnfFormula, build_lower_dfa, build_upper_dfa
 
-from support import all_words, random_dfa
+from support import all_words, brute_force_min_distinguishing, random_dfa
 
 
 def inequivalent_pair(rng, max_states=4, alphabet="ab"):
@@ -256,6 +255,17 @@ def test_synth_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_synth_sees_a_witness_through_the_empty_word():
+    # a accepts everything, b nothing: the one-state DFA accepting at its
+    # initial state already separates them through the empty word
+    a = Dfa("ab", [(0, 0)], 0, {0})
+    b = Dfa("ab", [(1, 1), (1, 1)], 0, {1})
+    for budget in (1, 3):
+        outcome = synth_min_distinguishing(a, b, budget)
+        assert outcome.found
+        assert (outcome.bound, outcome.orientation) == (1, Orientation.FIRST)
 
 
 def test_synth_singleton_word_upper_bound(rng):

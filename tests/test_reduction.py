@@ -2,23 +2,25 @@ import itertools
 
 import pytest
 
-from dfadist.automata import is_equivalent, is_subset, product
-from dfadist.distinguish import brute_force_min_distinguishing, is_distinguishing
+from dfadist.automata import is_equivalent, is_subset
+from dfadist.distinguish import is_distinguishing, shortest_distinguishing_word
 from dfadist.reduction import (
     CnfFormula,
     FormulaError,
     assignment_word,
     build_lower_dfa,
     build_upper_dfa,
-    in_lower_language,
-    in_upper_language,
     verify_lemma,
     witness_dfa,
-    word_assignment,
 )
 from dfadist.satsolve import evaluate
 
-from support import all_words
+from support import (
+    all_words,
+    brute_force_min_distinguishing,
+    in_lower_language,
+    in_upper_language,
+)
 
 
 # ---------------------------------------------------------------------
@@ -56,12 +58,7 @@ def test_assignment_word_mixed():
 @pytest.mark.parametrize("k", range(1, 9))
 def test_assignment_word_round_trip_exhaustive(k):
     for bits in itertools.product((False, True), repeat=k):
-        assert word_assignment(assignment_word(bits)) == bits
-
-
-def test_word_assignment_rejects_foreign_symbols():
-    with pytest.raises(ValueError):
-        word_assignment("01#")
+        assert tuple(c == "1" for c in assignment_word(bits)) == bits
 
 
 # ---------------------------------------------------------------------
@@ -165,7 +162,7 @@ def test_upper_strictly_larger_for_satisfiable_clauses():
     phi = CnfFormula(1, [(1,)])
     upper, lower = build_upper_dfa(phi), build_lower_dfa(1, 1)
     assert not is_equivalent(upper, lower)
-    witness = product(upper, lower, lambda x, y: x != y).shortest_accepted_word()
+    witness = shortest_distinguishing_word(upper, lower)
     assert witness is not None
     assert upper.accepts(witness) and not lower.accepts(witness)
 
@@ -235,6 +232,17 @@ def test_verify_lemma_contradiction():
     upper = build_upper_dfa(report.formula)
     lower = build_lower_dfa(1, 2)
     assert not brute_force_min_distinguishing(upper, lower, 3).found
+
+
+def test_verify_lemma_rechecks_the_solver_model(monkeypatch):
+    # a model that falsifies the formula must not be reported as "sat"
+    formula = CnfFormula(1, [(1,)])
+    monkeypatch.setattr(
+        "dfadist.reduction.solve",
+        lambda instance: (False,) if instance == formula.as_instance() else None,
+    )
+    with pytest.raises(RuntimeError, match="re-check"):
+        verify_lemma(formula)
 
 
 def test_verify_lemma_two_variable_case():
