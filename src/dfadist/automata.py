@@ -93,6 +93,8 @@ class Dfa:
     delta: tuple[tuple[int, ...], ...]
     initial: int
     accepting: frozenset[int]
+    # set only on minimize's output, which is its own minimization
+    _minimal: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.alphabet, str):
@@ -163,8 +165,11 @@ class Dfa:
         one BFS over the blocks from the initial state's, with
         alphabet-ordered edges, numbers the blocks and writes the
         quotient rows, so the result is deterministic and minimize is
-        idempotent.  Unreachable states are dropped.
+        idempotent: it returns its own output unchanged.  Unreachable
+        states are dropped.
         """
+        if self._minimal:
+            return self
         block_of = _hopcroft(self, self.reachable_states())
         new_id = {block_of[self.initial]: 0}
         order = [self.initial]  # one representative state per block
@@ -179,7 +184,9 @@ class Dfa:
                 row.append(new_id[block])
             delta.append(row)
         accepting = {i for i, q in enumerate(order) if q in self.accepting}
-        return Dfa(self.alphabet, delta, 0, accepting)
+        minimal = Dfa(self.alphabet, delta, 0, accepting)
+        object.__setattr__(minimal, "_minimal", True)
+        return minimal
 
     def to_dot(self) -> str:
         """Graphviz digraph with an entry arrow and doublecircle accepting states."""

@@ -2,9 +2,10 @@
 
 Machine-consumable results go to stdout, diagnostics to stderr.  Exit
 codes: 0 for true/success/found, 1 for false/none/unsat, 2 for usage or
-input errors, for running out of memory or recursion depth, and for an
-interrupt.  A DIMACS file whose header declares a different clause count
-than it holds is still read, with one ``warning:`` line on stderr.
+input errors, for running out of memory or recursion depth, for a failed
+re-check of a solver model or a synthesized DFA, and for an interrupt.
+A DIMACS file whose header declares a different clause count than it
+holds is still read, with one ``warning:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
         FormulaError,
         ValueError,
         OSError,
-        RecursionError,
+        RuntimeError,  # a failed re-check; RecursionError is one too
     ) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR

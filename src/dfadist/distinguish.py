@@ -110,13 +110,17 @@ class _PairSpace:
         return table
 
     def step_set(self, c: int, mask: int) -> int:
-        """Image of a pair set under one symbol."""
+        """Image of a pair set under one symbol, one byte of the mask at a time."""
         out = 0
         tables = self._chunks[c]
-        for chunk, b in enumerate(mask.to_bytes((mask.bit_length() + 7) // 8, "little")):
+        chunk = 0
+        while mask:
+            b = mask & 255
             if b:
                 table = tables[chunk] or self._chunk_table(c, chunk)
                 out |= table[b]
+            mask >>= 8
+            chunk += 1
         return out
 
     def escape_possible(self, mask: int) -> bool:
@@ -215,61 +219,67 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
 
     Depth-first search over canonical transition tables (states are
     numbered in first-use order, so each reachable table is visited once
-    up to isomorphism), tracking per-state pair sets incrementally.  For
-    a fixed table the best accepting set is forced: accept exactly the
-    states whose pair set avoids every bad pair; the table succeeds iff
-    such a state meets a goal pair.  After every assignment, ``live``
-    checks whether the partial table can still be completed, within k
-    states, into one with a witness; subtrees where it cannot are cut.
-    The check only drops subtrees without a solution, so the first table
-    found is the one an unpruned search would find.
+    up to isomorphism), tracking per-state pair sets incrementally.  The
+    partial table is one row per used state, ``None`` marking an open
+    cell; the open cells also sit on the ``todo`` stack.  For a fixed
+    table the best accepting set is forced: accept exactly the states
+    whose pair set avoids every bad pair; the table succeeds iff such a
+    state meets a goal pair.  After every assignment, ``live`` checks
+    whether the partial table can still be completed, within k states,
+    into one with a witness; subtrees where it cannot are cut.  The check
+    only drops subtrees without a solution, so the first table found is
+    the one an unpruned search would find.
     """
     looped = _cycle_candidate(alphabet, k, space)
     if looped is not None:
         return looped
     width = space.width
     tau = [1 << 0]  # pair sets per used candidate state; pair 0 is initial
-    delta: dict[tuple[int, int], int] = {}
-    # unassigned cells as a stack: depth-first demand chases loop-shaped
+    delta: list[list[int | None]] = [[None] * width]
+    # open cells as a stack: depth-first demand chases loop-shaped
     # witnesses instead of fanning out across sibling cells
     todo = [(0, c) for c in reversed(range(width))]
     step, step_set = space.step, space.step_set
-    escape_possible = space.escape_possible
+    escape_possible, escape_cache = space.escape_possible, space._escape_cache
     goal, bad = space.goal, space.bad
 
     def propagate(state: int, add: int, trail: list[tuple[int, int]]) -> None:
-        work = [(state, add)]
-        while work:
-            s, mask = work.pop()
+        """Close the pair sets under the table after ``add`` joins ``state``.
+
+        Pending masks are ORed per state until it is popped, so each
+        growth of a state costs one ``step_set`` per assigned cell.
+        """
+        pending = {state: add}
+        while pending:
+            s, mask = pending.popitem()
             new = mask & ~tau[s]
             if not new:
                 continue
             trail.append((s, tau[s]))
             tau[s] |= new
-            for c in range(width):
-                target = delta.get((s, c))
+            for c, target in enumerate(delta[s]):
                 if target is not None:
-                    work.append((target, step_set(c, new)))
+                    pending[target] = pending.get(target, 0) | step_set(c, new)
 
     def finish() -> Dfa | None:
         """Close the current partial table if some state is already a witness.
 
         A state whose pair set meets a goal pair and avoids every bad
-        pair stays that way when all unassigned cells are routed into an
+        pair stays that way when all open cells are routed into an
         absorbing non-accepting sink, because sink-bound flow never
         enters any other state.  The sink is a fresh state, so with all k
-        states used only a complete table closes.  A used state without
-        assigned cells cannot serve: under first-use numbering with the
-        LIFO ``todo`` stack it is the one just created, and so the winner.
+        states used only a complete table (an empty ``todo``) closes.  A
+        used state without assigned cells cannot serve: under first-use
+        numbering with the LIFO ``todo`` stack it is the one just created,
+        and so the winner.
         """
         if not any(m & goal and not m & bad for m in tau):
             return None
         used = len(tau)
-        complete = len(delta) == used * width
-        if not complete and used == k:
+        if todo and used == k:
             return None
-        rows = [[delta.get((q, c), used) for c in range(width)] for q in range(used)]
-        if not complete:
+        rows = [[used if t is None else t for t in row] for row in delta]
+        if todo:
             rows.append([used] * width)
         accepting = {q for q, m in enumerate(tau) if not m & bad}
         return Dfa(alphabet, rows, 0, accepting)
@@ -283,9 +293,10 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
         starting at (0, 0).  In any such completion the pair set of the
         current state includes its partial set plus the pair, so that
         mask must be able to escape and, at the end, meets a goal pair
-        while avoiding every bad pair.  An unassigned cell may lead to
-        any used state, or to a fresh one, where ``escape_possible``
-        stands in for the rest of the word.
+        while avoiding every bad pair.  An open cell may lead to any used
+        state, or to a fresh one, where ``escape_possible`` stands in for
+        the rest of the word.  A configuration is marked seen before its
+        escape test, so a dead one is tested only once.
 
         The first check, for a state that is already a witness, stays:
         it is the only one that sees a witness through the empty word,
@@ -301,9 +312,10 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
         stack = [(0, 0)]
         while stack:
             q, y = stack.pop()
+            row = delta[q]
             for c in range(width):
                 y2 = step[c][y]
-                target = delta.get((q, c))
+                target = row[c]
                 if target is None:
                     if fresh and escape_possible(step_set(c, tau[q] | 1 << y)):
                         return True
@@ -314,9 +326,11 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
                     mask = tau[t] | 1 << y2
                     if 1 << y2 & goal and not mask & bad:
                         return True
-                    if (t, y2) not in seen and escape_possible(mask):
+                    if (t, y2) not in seen:
                         seen.add((t, y2))
-                        stack.append((t, y2))
+                        escapes = escape_cache.get(mask)
+                        if escapes or escapes is None and escape_possible(mask):
+                            stack.append((t, y2))
         return False
 
     def assign() -> Dfa | None:
@@ -327,6 +341,7 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
         if not todo:
             return None
         q, c = todo.pop()
+        row = delta[q]
         image = step_set(c, tau[q])
         used = len(tau)
         targets = ([used] if used < k else []) + list(range(used))
@@ -334,8 +349,9 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
             fresh = q2 == used
             if fresh:
                 tau.append(0)
+                delta.append([None] * width)
                 todo.extend((q2, c2) for c2 in reversed(range(width)))
-            delta[q, c] = q2
+            row[c] = q2
             trail: list[tuple[int, int]] = []
             propagate(q2, image, trail)
             if live():
@@ -344,9 +360,10 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
                     return result
             for s, old in reversed(trail):
                 tau[s] = old
-            del delta[q, c]
+            row[c] = None
             if fresh:
                 tau.pop()
+                delta.pop()
                 del todo[-width:]
         todo.append((q, c))
         return None

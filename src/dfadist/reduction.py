@@ -107,7 +107,12 @@ def build_lower_dfa(k: int, n: int) -> Dfa:
 
 
 def build_upper_dfa(formula: CnfFormula) -> Dfa:
-    """Minimal complete DFA of the upper language for the formula.
+    """Minimal complete DFA of the upper language for the formula."""
+    return _upper_dfa(formula, build_lower_dfa(formula.var_count, formula.clause_count))
+
+
+def _upper_dfa(formula: CnfFormula, lower: Dfa) -> Dfa:
+    """The upper DFA from the formula's lower DFA, which callers share.
 
     The satisfying-prefix automaton tracks (block, position,
     clause-already-satisfied) while every completed block has satisfied
@@ -135,7 +140,7 @@ def build_upper_dfa(formula: CnfFormula) -> Dfa:
     delta.append((absorb, absorb, absorb))
     delta.append((sink, sink, sink))
     prefix = Dfa(REDUCTION_ALPHABET, delta, 0, {absorb})
-    return product(prefix, build_lower_dfa(k, n), operator.or_).minimize()
+    return product(prefix, lower, operator.or_).minimize()
 
 
 def witness_dfa(assignment: Assignment) -> Dfa:
@@ -190,8 +195,8 @@ def verify_lemma(formula: CnfFormula) -> LemmaReport:
         raise RuntimeError(
             "solver model failed the clause re-check; this indicates a solver bug"
         )
-    upper = build_upper_dfa(formula)
     lower = build_lower_dfa(k, n)
+    upper = _upper_dfa(formula, lower)
     bound = k + 2
     synth = synth_min_distinguishing(upper, lower, bound)
     witness_ok = None

@@ -360,7 +360,25 @@ def test_minimize_drops_unreachable_states():
 def test_minimize_idempotent_and_language_preserving(d):
     m = d.minimize()
     assert is_equivalent(d, m)
-    assert m.minimize() == m
+    assert m.minimize() is m
+    # the flag that marks m as minimal takes no part in value semantics
+    copy = parse_dfa(serialize_dfa(m))
+    assert copy == m
+    assert hash(copy) == hash(m)
+    assert repr(copy) == repr(m)
+    assert "_minimal" not in repr(m)
+    # a parsed copy carries no flag, so this runs the refinement again
+    assert copy.minimize() == m
+
+
+def test_only_minimize_marks_a_dfa_minimal():
+    # two equivalent states, parsed or built by hand: still merged
+    text = "dfa v1\nalphabet ab\nstates 2\ninitial 0\naccepting 0 1\nrow 0 1 0\nrow 1 1 0\n"
+    for d in (parse_dfa(text), Dfa("ab", [(1, 0), (1, 0)], 0, {0, 1})):
+        m = d.minimize()
+        assert m is not d
+        assert m.state_count == 1
+        assert m == Dfa("ab", [(0, 0)], 0, {0})
 
 
 def test_minimize_canonical_under_isomorphism(rng):

@@ -255,6 +255,19 @@ def test_resource_exhaustion_exits_two(workdir, capsys, monkeypatch, error, line
     assert "Traceback" not in err
 
 
+def test_failed_recheck_exits_two(workdir, capsys, monkeypatch):
+    # an all-false model falsifies unit_pos.cnf; verify_lemma's re-check
+    # raises RuntimeError, which the CLI reports in one line
+    monkeypatch.setattr(
+        "dfadist.reduction.solve", lambda instance: (False,) * instance.var_count
+    )
+    code, out, err = run(capsys, "verify-lemma", workdir / "unit_pos.cnf")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: solver model failed the clause re-check")
+
+
 def test_clause_count_mismatch_is_one_warning_line(workdir, capsys):
     short = workdir / "short.cnf"
     short.write_text("p cnf 2 3\n1 0\n-2 0\n")

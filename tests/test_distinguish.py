@@ -1,11 +1,12 @@
 import gc
+import hashlib
 import itertools
 import random
 import tracemalloc
 
 import pytest
 
-from dfadist.automata import AlphabetError, Dfa, is_equivalent, is_subset
+from dfadist.automata import AlphabetError, Dfa, is_equivalent, is_subset, serialize_dfa
 from dfadist.distinguish import (
     Orientation,
     SynthOutcome,
@@ -17,7 +18,7 @@ from dfadist.distinguish import (
 )
 from dfadist.reduction import CnfFormula, build_lower_dfa, build_upper_dfa
 
-from support import all_words, brute_force_min_distinguishing, random_dfa
+from support import all_words, battery_formulas, brute_force_min_distinguishing, random_dfa
 
 
 def inequivalent_pair(rng, max_states=4, alphabet="ab"):
@@ -237,9 +238,26 @@ def test_synth_counts_search_nodes():
     lower = build_lower_dfa(formula.var_count, formula.clause_count)
     outcome = synth_min_distinguishing(upper, lower, 4)
     assert not outcome.found
-    assert 0 < outcome.nodes <= 1000
+    assert outcome.nodes == 123
     # the count takes no part in equality
     assert outcome == SynthOutcome(None, None, 4)
+
+
+def test_synth_battery_answers_and_nodes_are_pinned():
+    # a change to the search's internals must keep its decisions: the
+    # same first table per formula, found after the same number of nodes
+    digest = hashlib.sha256()
+    nodes = 0
+    for formula in battery_formulas():
+        upper = build_upper_dfa(formula)
+        lower = build_lower_dfa(formula.var_count, formula.clause_count)
+        outcome = synth_min_distinguishing(upper, lower, formula.var_count + 2)
+        orientation = outcome.orientation.value if outcome.orientation else None
+        dfa = serialize_dfa(outcome.dfa) if outcome.dfa else "none"
+        digest.update(repr((dfa, orientation, outcome.bound)).encode())
+        nodes += outcome.nodes
+    assert digest.hexdigest().startswith("552671ddb4160c5c")
+    assert nodes == 1422
 
 
 def test_synth_leaves_no_cyclic_garbage():

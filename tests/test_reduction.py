@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from dfadist import automata, reduction
 from dfadist.automata import is_equivalent, is_subset
 from dfadist.distinguish import is_distinguishing, shortest_distinguishing_word
 from dfadist.reduction import (
@@ -243,6 +244,29 @@ def test_verify_lemma_rechecks_the_solver_model(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="re-check"):
         verify_lemma(formula)
+
+
+def test_verify_lemma_builds_and_minimizes_each_automaton_once(monkeypatch):
+    calls = {"lower": 0, "hopcroft": 0}
+    build_lower, hopcroft = reduction.build_lower_dfa, automata._hopcroft
+
+    def counting_lower(k, n):
+        calls["lower"] += 1
+        return build_lower(k, n)
+
+    def counting_hopcroft(dfa, reachable):
+        calls["hopcroft"] += 1
+        return hopcroft(dfa, reachable)
+
+    monkeypatch.setattr(reduction, "build_lower_dfa", counting_lower)
+    monkeypatch.setattr(automata, "_hopcroft", counting_hopcroft)
+    # refuted: the lower and the upper DFA are refined once each, and
+    # synthesis takes both as already minimal
+    verify_lemma(CnfFormula(1, [(1,), (-1,)]))
+    assert calls == {"lower": 1, "hopcroft": 2}
+    # found: plus the synthesized candidate
+    verify_lemma(CnfFormula(1, [(1,)]))
+    assert calls == {"lower": 2, "hopcroft": 5}
 
 
 def test_verify_lemma_two_variable_case():
