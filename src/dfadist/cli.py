@@ -52,8 +52,8 @@ def _load_cnf(path: str) -> CnfFormula:
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     formula = _load_cnf(args.cnf)
-    upper = build_upper_dfa(formula)
     lower = build_lower_dfa(formula.var_count, formula.clause_count)
+    upper = build_upper_dfa(formula, lower)
     Path(args.out_upper).write_text(serialize_dfa(upper), encoding="utf-8")
     Path(args.out_lower).write_text(serialize_dfa(lower), encoding="utf-8")
     print(f"upper states: {upper.state_count}")

@@ -40,9 +40,9 @@ class SynthOutcome:
     """Result of bounded synthesis: a DFA plus orientation, or nothing.
 
     ``bound`` is the state budget that produced the result: the
-    successful k, or the exhausted maximum.  ``nodes`` counts the table
-    assignments the search tried over all k and orientations; it does
-    not take part in equality.
+    successful k, or the exhausted maximum.  ``nodes`` counts the search
+    nodes entered (partial tables tried) over all k and orientations;
+    it does not take part in equality.
     """
 
     dfa: Dfa | None
@@ -99,7 +99,7 @@ class _PairSpace:
             [None] * ((len(pairs) + 7) // 8) for _ in range(width)
         ]
         self._escape_cache: dict[int, bool] = {}
-        self.nodes = 0  # assign calls made by searches over this space
+        self.nodes = 0  # nodes entered by searches over this space
 
     def _chunk_table(self, c: int, chunk: int) -> list[int]:
         table = [0]
@@ -243,7 +243,7 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
     escape_possible, escape_cache = space.escape_possible, space._escape_cache
     goal, bad = space.goal, space.bad
 
-    def propagate(state: int, add: int, trail: list[tuple[int, int]]) -> None:
+    def propagate(state: int, add: int) -> None:
         """Close the pair sets under the table after ``add`` joins ``state``.
 
         Pending masks are ORed per state until it is popped, so each
@@ -255,7 +255,6 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
             new = mask & ~tau[s]
             if not new:
                 continue
-            trail.append((s, tau[s]))
             tau[s] |= new
             for c, target in enumerate(delta[s]):
                 if target is not None:
@@ -333,48 +332,49 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
                             stack.append((t, y2))
         return False
 
-    def assign() -> Dfa | None:
-        space.nodes += 1
-        done = finish()
-        if done is not None:
-            return done
-        if not todo:
-            return None
+    def children():
+        """Set up each live child of the current node, yielding once per child.
+
+        The child fills the next open cell with a fresh state first, then
+        with each used state.  When resumed it is undone: the pair sets
+        come back from a snapshot, which drops a fresh state's slot too.
+        """
         q, c = todo.pop()
         row = delta[q]
         image = step_set(c, tau[q])
         used = len(tau)
-        targets = ([used] if used < k else []) + list(range(used))
-        for q2 in targets:
+        saved = tau.copy()
+        for q2 in ([used] if used < k else []) + list(range(used)):
             fresh = q2 == used
             if fresh:
                 tau.append(0)
                 delta.append([None] * width)
                 todo.extend((q2, c2) for c2 in reversed(range(width)))
             row[c] = q2
-            trail: list[tuple[int, int]] = []
-            propagate(q2, image, trail)
+            propagate(q2, image)
             if live():
-                result = assign()
-                if result is not None:
-                    return result
-            for s, old in reversed(trail):
-                tau[s] = old
+                yield True
+            tau[:] = saved
             row[c] = None
             if fresh:
-                tau.pop()
                 delta.pop()
                 del todo[-width:]
         todo.append((q, c))
-        return None
 
-    try:
-        return assign()
-    finally:
-        # assign reaches itself through its closure; breaking that cycle
-        # frees the search state and the pair space now, not at the next
-        # cyclic collection
-        del assign
+    # depth-first: every node entered is counted and closed if it can be;
+    # an open node pushes its children, an exhausted frame is popped
+    frames = []
+    while True:
+        space.nodes += 1
+        done = finish()
+        if done is not None:
+            return done
+        if todo:
+            frames.append(children())
+        while frames and not next(frames[-1], False):
+            frames.pop()
+        if not frames:
+            return None
 
 
 def synth_min_distinguishing(a1: Dfa, a2: Dfa, k_max: int) -> SynthOutcome:

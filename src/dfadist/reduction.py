@@ -106,13 +106,8 @@ def build_lower_dfa(k: int, n: int) -> Dfa:
     return Dfa(REDUCTION_ALPHABET, delta, 0, accepting).minimize()
 
 
-def build_upper_dfa(formula: CnfFormula) -> Dfa:
-    """Minimal complete DFA of the upper language for the formula."""
-    return _upper_dfa(formula, build_lower_dfa(formula.var_count, formula.clause_count))
-
-
-def _upper_dfa(formula: CnfFormula, lower: Dfa) -> Dfa:
-    """The upper DFA from the formula's lower DFA, which callers share.
+def build_upper_dfa(formula: CnfFormula, lower: Dfa) -> Dfa:
+    """Minimal complete DFA of the upper language, from the formula's lower DFA.
 
     The satisfying-prefix automaton tracks (block, position,
     clause-already-satisfied) while every completed block has satisfied
@@ -186,7 +181,8 @@ def verify_lemma(formula: CnfFormula) -> LemmaReport:
     (upper, lower) pair with budget k+2, and reports CONSISTENT iff both
     answers agree.  A model from the solver is re-checked clause by
     clause, and the explicit witness built from it is additionally
-    checked to distinguish the pair.
+    checked to distinguish the pair; a failed re-check raises
+    ``RuntimeError``.
     """
     k, n = formula.var_count, formula.clause_count
     instance = formula.as_instance()
@@ -196,17 +192,19 @@ def verify_lemma(formula: CnfFormula) -> LemmaReport:
             "solver model failed the clause re-check; this indicates a solver bug"
         )
     lower = build_lower_dfa(k, n)
-    upper = _upper_dfa(formula, lower)
+    upper = build_upper_dfa(formula, lower)
+    if model is not None and not is_distinguishing(witness_dfa(model[:k]), upper, lower):
+        raise RuntimeError(
+            "witness DFA from the solver model failed the distinguishing re-check; "
+            "this indicates a reduction bug"
+        )
     bound = k + 2
     synth = synth_min_distinguishing(upper, lower, bound)
-    witness_ok = None
-    if model is not None:
-        witness_ok = is_distinguishing(witness_dfa(model[:k]), upper, lower)
     return LemmaReport(
         formula=formula,
         satisfiable=model is not None,
         model=model,
         synth=synth,
         bound=bound,
-        witness_distinguishing=witness_ok,
+        witness_distinguishing=None if model is None else True,
     )

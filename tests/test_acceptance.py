@@ -74,11 +74,12 @@ def battery() -> Battery:
     started = time.perf_counter()
     for formula in battery_formulas():
         report = verify_lemma(formula)
+        lower = build_lower_dfa(formula.var_count, formula.clause_count)
         entries.append(
             BatteryEntry(
                 formula=formula,
-                upper=build_upper_dfa(formula),
-                lower=build_lower_dfa(formula.var_count, formula.clause_count),
+                upper=build_upper_dfa(formula, lower),
+                lower=lower,
                 report=report,
             )
         )

@@ -19,3 +19,30 @@ def test_every_public_name_has_a_caller():
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
     assert sorted(set(dfadist.__all__) - read) == []
+
+
+def test_no_function_calls_itself():
+    # no recursion in the package: a deep input must not meet the
+    # interpreter's recursion limit
+    recursive = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                if isinstance(func, ast.Name):
+                    name = func.id
+                elif (
+                    isinstance(func, ast.Attribute)
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id in ("self", "cls")
+                ):
+                    name = func.attr
+                else:
+                    continue
+                if name == node.name:
+                    recursive.append(f"{path.name}:{node.name}")
+    assert recursive == []

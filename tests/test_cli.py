@@ -3,7 +3,8 @@ import shutil
 
 import pytest
 
-from dfadist.automata import parse_dfa
+from dfadist import cli, reduction
+from dfadist.automata import Dfa, parse_dfa
 from dfadist.cli import main
 
 
@@ -150,6 +151,21 @@ def test_reduce_writes_pair_and_counts(workdir, capsys):
     assert parse_dfa(up.read_text()).state_count == 6
 
 
+def test_reduce_builds_the_lower_dfa_once(workdir, capsys, monkeypatch):
+    calls = []
+    build_lower = reduction.build_lower_dfa
+
+    def counting_lower(k, n):
+        calls.append((k, n))
+        return build_lower(k, n)
+
+    monkeypatch.setattr(reduction, "build_lower_dfa", counting_lower)
+    monkeypatch.setattr(cli, "build_lower_dfa", counting_lower)
+    code, _, _ = run(capsys, "reduce", workdir / "unit_pos.cnf", workdir / "u.dfa", workdir / "l.dfa")
+    assert code == 0
+    assert calls == [(1, 1)]
+
+
 def test_reduce_rejects_empty_clause(workdir, capsys):
     bad = workdir / "bad.cnf"
     bad.write_text("p cnf 1 2\n1 0\n0\n")
@@ -266,6 +282,18 @@ def test_failed_recheck_exits_two(workdir, capsys, monkeypatch):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: solver model failed the clause re-check")
+
+
+def test_failed_witness_recheck_exits_two(workdir, capsys, monkeypatch):
+    # a witness accepting nothing distinguishes nothing; verify_lemma's
+    # re-check raises instead of printing a CONSISTENT verdict
+    empty = Dfa("01#", [(0, 0, 0)], 0, ())
+    monkeypatch.setattr("dfadist.reduction.witness_dfa", lambda assignment: empty)
+    code, out, err = run(capsys, "verify-lemma", workdir / "unit_pos.cnf")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: witness DFA from the solver model failed the distinguishing re-check")
 
 
 def test_clause_count_mismatch_is_one_warning_line(workdir, capsys):

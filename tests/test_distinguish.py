@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -16,7 +17,7 @@ from dfadist.distinguish import (
     shortest_distinguishing_word,
     synth_min_distinguishing,
 )
-from dfadist.reduction import CnfFormula, build_lower_dfa, build_upper_dfa
+from dfadist.reduction import CnfFormula, build_lower_dfa, build_upper_dfa, verify_lemma
 
 from support import all_words, battery_formulas, brute_force_min_distinguishing, random_dfa
 
@@ -234,8 +235,8 @@ def test_synth_counts_search_nodes():
     # refuting every k <= 4 for the two-variable contradiction; pruning
     # on the initial state's pair set alone takes 123,152 nodes
     formula = CnfFormula(2, [(1,), (-1,)])
-    upper = build_upper_dfa(formula)
     lower = build_lower_dfa(formula.var_count, formula.clause_count)
+    upper = build_upper_dfa(formula, lower)
     outcome = synth_min_distinguishing(upper, lower, 4)
     assert not outcome.found
     assert outcome.nodes == 123
@@ -249,8 +250,8 @@ def test_synth_battery_answers_and_nodes_are_pinned():
     digest = hashlib.sha256()
     nodes = 0
     for formula in battery_formulas():
-        upper = build_upper_dfa(formula)
         lower = build_lower_dfa(formula.var_count, formula.clause_count)
+        upper = build_upper_dfa(formula, lower)
         outcome = synth_min_distinguishing(upper, lower, formula.var_count + 2)
         orientation = outcome.orientation.value if outcome.orientation else None
         dfa = serialize_dfa(outcome.dfa) if outcome.dfa else "none"
@@ -264,8 +265,8 @@ def test_synth_leaves_no_cyclic_garbage():
     # the search state and pair spaces are freed when the call returns,
     # not left for the cyclic collector
     formula = CnfFormula(2, [(1,), (-1,)])
-    upper = build_upper_dfa(formula)
     lower = build_lower_dfa(formula.var_count, formula.clause_count)
+    upper = build_upper_dfa(formula, lower)
     gc.collect()
     gc.disable()
     try:
@@ -273,6 +274,28 @@ def test_synth_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_synth_depth_needs_no_recursion():
+    # a recursive search takes a frame per filled cell; the loop's stack
+    # depth does not grow with the tree, so 4-var [(4,)] runs a dozen
+    # levels above its caller.  The depth is the one the interpreter
+    # counts (C calls included): the lowest limit it accepts here, minus 1.
+    limit = sys.getrecursionlimit()
+    depth = 1
+    while True:
+        try:
+            sys.setrecursionlimit(depth + 1)
+            break
+        except RecursionError:
+            depth += 1
+    try:
+        sys.setrecursionlimit(depth + 12)
+        report = verify_lemma(CnfFormula(4, [(4,)]))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert report.min_distinguishing_k == 6
+    assert report.synth.nodes == 12345
 
 
 def test_synth_sees_a_witness_through_the_empty_word():

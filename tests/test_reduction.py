@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from dfadist import automata, reduction
-from dfadist.automata import is_equivalent, is_subset
+from dfadist.automata import Dfa, is_equivalent, is_subset
 from dfadist.distinguish import is_distinguishing, shortest_distinguishing_word
 from dfadist.reduction import (
     CnfFormula,
@@ -137,7 +137,7 @@ def test_lower_dfa_rejects_bad_parameters():
 
 def test_upper_dfa_agrees_with_scan_for_unit_clause():
     phi = CnfFormula(1, [(1,)])
-    upper = build_upper_dfa(phi)
+    upper = build_upper_dfa(phi, build_lower_dfa(1, 1))
     assert upper.accepts("1#00")
     assert not upper.accepts("0#00")
     assert upper.accepts("0#")
@@ -148,7 +148,7 @@ def test_upper_dfa_agrees_with_scan_for_unit_clause():
 def test_upper_dfa_agrees_with_scan_for_tautology_and_repeats():
     # duplicate literals and a tautological clause are legal inputs
     for phi in (CnfFormula(2, [(1, 1, 2)]), CnfFormula(2, [(1, -1), (2,)])):
-        upper = build_upper_dfa(phi)
+        upper = build_upper_dfa(phi, build_lower_dfa(2, phi.clause_count))
         for word in all_words("01#", 7):
             assert upper.accepts(word) == in_upper_language(word, phi)
 
@@ -156,12 +156,14 @@ def test_upper_dfa_agrees_with_scan_for_tautology_and_repeats():
 def test_lower_language_inside_upper():
     for clauses in [[(1,)], [(1, -2), (2,)], [(-1,), (-1,)]]:
         phi = CnfFormula(2, clauses)
-        assert is_subset(build_lower_dfa(2, len(clauses)), build_upper_dfa(phi))
+        lower = build_lower_dfa(2, len(clauses))
+        assert is_subset(lower, build_upper_dfa(phi, lower))
 
 
 def test_upper_strictly_larger_for_satisfiable_clauses():
     phi = CnfFormula(1, [(1,)])
-    upper, lower = build_upper_dfa(phi), build_lower_dfa(1, 1)
+    lower = build_lower_dfa(1, 1)
+    upper = build_upper_dfa(phi, lower)
     assert not is_equivalent(upper, lower)
     witness = shortest_distinguishing_word(upper, lower)
     assert witness is not None
@@ -170,7 +172,8 @@ def test_upper_strictly_larger_for_satisfiable_clauses():
 
 def test_builders_return_minimized_automata():
     phi = CnfFormula(2, [(1,), (-2,)])
-    upper, lower = build_upper_dfa(phi), build_lower_dfa(2, 2)
+    lower = build_lower_dfa(2, 2)
+    upper = build_upper_dfa(phi, lower)
     assert upper.minimize() == upper
     assert lower.minimize() == lower
 
@@ -197,7 +200,8 @@ def test_witness_language_is_exactly_the_repeated_block():
 def test_witness_distinguishes_for_satisfiable_formula():
     phi = CnfFormula(1, [(1,)])
     wit = witness_dfa([True])
-    assert is_distinguishing(wit, build_upper_dfa(phi), build_lower_dfa(1, 1))
+    lower = build_lower_dfa(1, 1)
+    assert is_distinguishing(wit, build_upper_dfa(phi, lower), lower)
 
 
 @pytest.mark.parametrize("k", range(1, 6))
@@ -230,8 +234,8 @@ def test_verify_lemma_contradiction():
     assert report.consistent
     assert report.witness_distinguishing is None
     # independent confirmation that nothing small distinguishes the pair
-    upper = build_upper_dfa(report.formula)
     lower = build_lower_dfa(1, 2)
+    upper = build_upper_dfa(report.formula, lower)
     assert not brute_force_min_distinguishing(upper, lower, 3).found
 
 
@@ -244,6 +248,15 @@ def test_verify_lemma_rechecks_the_solver_model(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="re-check"):
         verify_lemma(formula)
+
+
+def test_verify_lemma_rechecks_the_witness(monkeypatch):
+    # a witness that fails to distinguish the pair is an error, not a
+    # report that still reads CONSISTENT
+    empty = Dfa("01#", [(0, 0, 0)], 0, ())
+    monkeypatch.setattr(reduction, "witness_dfa", lambda assignment: empty)
+    with pytest.raises(RuntimeError, match="failed the distinguishing re-check"):
+        verify_lemma(CnfFormula(1, [(1,)]))
 
 
 def test_verify_lemma_builds_and_minimizes_each_automaton_once(monkeypatch):
