@@ -78,16 +78,36 @@ class _PairSpace:
     there would break inclusion in the target), ``goal`` marks pairs
     where t accepts and x rejects (accepting there certifies the
     escape).  ``goal`` is empty exactly when L(target) is inside
-    L(other).  Pair sets are bitmasks.
+    L(other).  ``doomed`` marks pairs where t can reach no accepting
+    state (in a minimized target, its rejecting sink): every image of a
+    doomed pair is doomed and bad, so a pair set holding one never
+    escapes.  Pair sets are bitmasks; ``bit[c][y]`` is the one-pair
+    image ``1 << step[c][y]``.
     """
 
     def __init__(self, target: Dfa, other: Dfa):
         pairs, rows, _ = _pair_search(target, other)
         self.width = width = len(target.alphabet)
         self.step = [[rows[y][c] for y in range(len(pairs))] for c in range(width)]
+        self.bit = [[1 << t for t in row] for row in self.step]
+        # target states with a nonempty language, backward from the accepting ones
+        sources: list[list[int]] = [[] for _ in target.delta]
+        for q, row in enumerate(target.delta):
+            for t in row:
+                sources[t].append(q)
+        alive = set(target.accepting)
+        stack = list(alive)
+        while stack:
+            for q in sources[stack.pop()]:
+                if q not in alive:
+                    alive.add(q)
+                    stack.append(q)
         self.bad = 0
         self.goal = 0
+        self.doomed = 0
         for y, (t, x) in enumerate(pairs):
+            if t not in alive:
+                self.doomed |= 1 << y
             if t not in target.accepting:
                 self.bad |= 1 << y
             elif x not in other.accepting:
@@ -133,7 +153,13 @@ class _PairSpace:
         and holds u's image of pair 0, then v's image of the set sits
         inside the accepting state's pair set (so it is bad-free) and
         holds the witness's goal pair.
+
+        A set meeting ``doomed`` is refused at once, and the search
+        neither expands nor caches such an image.
         """
+        doomed = self.doomed
+        if mask & doomed:
+            return False
         cache = self._escape_cache
         cached = cache.get(mask)
         if cached is not None:
@@ -148,7 +174,7 @@ class _PairSpace:
                     return True
                 for c in range(self.width):
                     image = self.step_set(c, m)
-                    if image in seen:
+                    if image & doomed or image in seen:
                         continue
                     known = cache.get(image)
                     if known:
@@ -239,15 +265,20 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
     # open cells as a stack: depth-first demand chases loop-shaped
     # witnesses instead of fanning out across sibling cells
     todo = [(0, c) for c in reversed(range(width))]
-    step, step_set = space.step, space.step_set
+    step, step_set, bit = space.step, space.step_set, space.bit
     escape_possible, escape_cache = space.escape_possible, space._escape_cache
-    goal, bad = space.goal, space.bad
+    goal, bad, doomed = space.goal, space.bad, space.doomed
 
-    def propagate(state: int, add: int) -> None:
+    def propagate(state: int, add: int) -> bool:
         """Close the pair sets under the table after ``add`` joins ``state``.
 
         Pending masks are ORed per state until it is popped, so each
-        growth of a state costs one ``step_set`` per assigned cell.
+        growth of a state costs one image per assigned cell: a
+        ``step_set``, or a ``bit`` lookup when one pair is new.  Returns
+        False, leaving the closure unfinished, once a doomed pair joins
+        state 0: every used state is reachable from state 0, so after
+        the closure each one would hold a doomed, bad pair and ``live``
+        would fail.
         """
         pending = {state: add}
         while pending:
@@ -255,10 +286,16 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
             new = mask & ~tau[s]
             if not new:
                 continue
+            if not s and new & doomed:
+                return False
             tau[s] |= new
+            single = not new & (new - 1)
+            y = new.bit_length() - 1
             for c, target in enumerate(delta[s]):
                 if target is not None:
-                    pending[target] = pending.get(target, 0) | step_set(c, new)
+                    image = bit[c][y] if single else step_set(c, new)
+                    pending[target] = pending.get(target, 0) | image
+        return True
 
     def finish() -> Dfa | None:
         """Close the current partial table if some state is already a witness.
@@ -295,7 +332,9 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
         while avoiding every bad pair.  An open cell may lead to any used
         state, or to a fresh one, where ``escape_possible`` stands in for
         the rest of the word.  A configuration is marked seen before its
-        escape test, so a dead one is tested only once.
+        escape test, so a dead one is tested only once.  A state whose
+        pair set holds a doomed pair is skipped outright: no mask built
+        on it is bad-free or escapes.
 
         The first check, for a state that is already a witness, stays:
         it is the only one that sees a witness through the empty word,
@@ -322,6 +361,8 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
                 else:
                     targets = (target,)
                 for t in targets:
+                    if tau[t] & doomed:
+                        continue
                     mask = tau[t] | 1 << y2
                     if 1 << y2 & goal and not mask & bad:
                         return True
@@ -351,8 +392,7 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
                 delta.append([None] * width)
                 todo.extend((q2, c2) for c2 in reversed(range(width)))
             row[c] = q2
-            propagate(q2, image)
-            if live():
+            if propagate(q2, image) and live():
                 yield True
             tau[:] = saved
             row[c] = None

@@ -154,7 +154,6 @@ class LemmaReport:
     model: Model | None
     synth: SynthOutcome
     bound: int
-    witness_distinguishing: bool | None
 
     @property
     def consistent(self) -> bool:
@@ -206,5 +205,4 @@ def verify_lemma(formula: CnfFormula) -> LemmaReport:
         model=model,
         synth=synth,
         bound=bound,
-        witness_distinguishing=None if model is None else True,
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from dfadist.automata import Dfa, Word, _require_same_alphabet
+from dfadist.automata import Dfa, Word, _require_same_alphabet, is_equivalent
 from dfadist.distinguish import Orientation, SynthOutcome
 from dfadist.reduction import CnfFormula
 
@@ -30,6 +30,31 @@ def random_dfa(rng: random.Random, states: int, alphabet: str = "ab") -> Dfa:
     delta = [tuple(rng.randrange(states) for _ in alphabet) for _ in range(states)]
     accepting = {q for q in range(states) if rng.random() < 0.5}
     return Dfa(alphabet, delta, rng.randrange(states), accepting)
+
+
+def _random_pairs(seed: int, count: int, alphabet: str, states: tuple[int, int], keep):
+    """The first ``count`` inequivalent random pairs that ``keep`` accepts."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        a = random_dfa(rng, rng.randint(*states), alphabet)
+        b = random_dfa(rng, rng.randint(*states), alphabet)
+        if not is_equivalent(a, b) and keep(a, b):
+            pairs.append((a, b))
+    return pairs
+
+
+def random_pair_battery() -> list[tuple[Dfa, Dfa]]:
+    """120 inequivalent pairs of 1-4 state DFAs over ``ab`` (seed 5)."""
+    return _random_pairs(5, 120, "ab", (1, 4), lambda a, b: True)
+
+
+def hard_pair_battery() -> list[tuple[Dfa, Dfa]]:
+    """30 inequivalent pairs of 3-6 state DFAs over ``01#`` that no
+    two-state DFA separates, by the brute-force oracle (seed 13)."""
+    return _random_pairs(
+        13, 30, "01#", (3, 6), lambda a, b: not brute_force_min_distinguishing(a, b, 2).found
+    )
 
 
 def permuted_copy(dfa: Dfa, rng: random.Random) -> Dfa:
@@ -111,6 +136,49 @@ def brute_force_min_distinguishing(a1: Dfa, a2: Dfa, k_max: int) -> SynthOutcome
                     orientation = Orientation.FIRST if inside1 else Orientation.SECOND
                     return SynthOutcome(dfa, orientation, k)
     return SynthOutcome(None, None, k_max)
+
+
+def dead_states(dfa: Dfa) -> set[int]:
+    """States from which no accepting state is reachable, by a forward
+    search from each state."""
+    dead = set()
+    for q in range(dfa.state_count):
+        seen = {q}
+        stack = [q]
+        while stack:
+            s = stack.pop()
+            for t in dfa.delta[s]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        if seen.isdisjoint(dfa.accepting):
+            dead.add(q)
+    return dead
+
+
+def escape_reference(target: Dfa, other: Dfa, pair_set: frozenset) -> bool:
+    """Plain subset-image search over explicit (t, x) pairs: can some
+    word carry the set onto one where every t accepts and some x rejects?
+
+    No shortcut for dead pairs and no cache; reference for
+    ``_PairSpace.escape_possible``.
+    """
+    seen = {pair_set}
+    frontier = [pair_set]
+    while frontier:
+        nxt = []
+        for pairs in frontier:
+            if all(t in target.accepting for t, _ in pairs) and any(
+                x not in other.accepting for _, x in pairs
+            ):
+                return True
+            for c in range(len(target.alphabet)):
+                image = frozenset((target.delta[t][c], other.delta[x][c]) for t, x in pairs)
+                if image not in seen:
+                    seen.add(image)
+                    nxt.append(image)
+        frontier = nxt
+    return False
 
 
 def _clause_satisfied(clause: tuple[int, ...], bits: tuple[bool, ...]) -> bool:

@@ -116,8 +116,9 @@ def test_criterion_3_satisfiable_side(battery):
             k = entry.formula.var_count
             report = entry.report
             assert evaluate(entry.formula.as_instance(), report.model)
-            assert report.witness_distinguishing, entry.formula
-            assert witness_dfa(report.model[:k]).state_count == k + 2
+            witness = witness_dfa(report.model[:k])
+            assert is_distinguishing(witness, entry.upper, entry.lower), entry.formula
+            assert witness.state_count == k + 2
             assert report.synth.found, entry.formula
             assert report.synth.bound <= k + 2
             assert is_distinguishing(report.synth.dfa, entry.upper, entry.lower)

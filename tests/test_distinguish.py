@@ -6,8 +6,17 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, strategies as st
 
-from dfadist.automata import AlphabetError, Dfa, is_equivalent, is_subset, serialize_dfa
+from dfadist import distinguish
+from dfadist.automata import (
+    AlphabetError,
+    Dfa,
+    _pair_search,
+    is_equivalent,
+    is_subset,
+    serialize_dfa,
+)
 from dfadist.distinguish import (
     Orientation,
     SynthOutcome,
@@ -19,7 +28,16 @@ from dfadist.distinguish import (
 )
 from dfadist.reduction import CnfFormula, build_lower_dfa, build_upper_dfa, verify_lemma
 
-from support import all_words, battery_formulas, brute_force_min_distinguishing, random_dfa
+from support import (
+    all_words,
+    battery_formulas,
+    brute_force_min_distinguishing,
+    dead_states,
+    escape_reference,
+    hard_pair_battery,
+    random_dfa,
+    random_pair_battery,
+)
 
 
 def inequivalent_pair(rng, max_states=4, alphabet="ab"):
@@ -143,6 +161,34 @@ def test_search_feasibility_matches_exhaustive_reference(rng, example_a, example
     assert feasible[example, Orientation.FIRST, 2]
 
 
+@st.composite
+def small_dfa(draw):
+    """A DFA over ``ab`` with 1-4 states, half of the time plus a
+    rejecting sink that the other states may enter."""
+    n = draw(st.integers(1, 4))
+    sink = draw(st.booleans())
+    targets = st.integers(0, n - 1 + sink)
+    delta = [(draw(targets), draw(targets)) for _ in range(n)]
+    if sink:
+        delta.append((n, n))
+    accepting = draw(st.sets(st.integers(0, n - 1)))
+    return Dfa("ab", delta, draw(st.integers(0, n - 1)), accepting)
+
+
+@given(small_dfa(), small_dfa(), st.data())
+def test_escape_possible_matches_plain_subset_search(target, other, data):
+    space = _PairSpace(target, other)
+    pairs = _pair_search(target, other)[0]
+    dead = dead_states(target)
+    assert space.doomed == sum(1 << y for y, (t, _) in enumerate(pairs) if t in dead)
+    # several masks on one space, so later ones also read the cache
+    masks = data.draw(st.lists(st.integers(0, (1 << len(pairs)) - 1), max_size=8))
+    for mask in masks:
+        pair_set = frozenset(p for y, p in enumerate(pairs) if mask >> y & 1)
+        assert space.escape_possible(mask) == escape_reference(target, other, pair_set)
+    assert not any(key & space.doomed for key in space._escape_cache)
+
+
 # ---------------------------------------------------------------------
 # synthesis
 # ---------------------------------------------------------------------
@@ -244,21 +290,70 @@ def test_synth_counts_search_nodes():
     assert outcome == SynthOutcome(None, None, 4)
 
 
-def test_synth_battery_answers_and_nodes_are_pinned():
-    # a change to the search's internals must keep its decisions: the
-    # same first table per formula, found after the same number of nodes
+def answers_and_nodes(cases):
+    """Digest of the synthesized answers for (a1, a2, budget) cases, and
+    the search nodes they took in total."""
     digest = hashlib.sha256()
     nodes = 0
-    for formula in battery_formulas():
-        lower = build_lower_dfa(formula.var_count, formula.clause_count)
-        upper = build_upper_dfa(formula, lower)
-        outcome = synth_min_distinguishing(upper, lower, formula.var_count + 2)
+    for a1, a2, budget in cases:
+        outcome = synth_min_distinguishing(a1, a2, budget)
         orientation = outcome.orientation.value if outcome.orientation else None
         dfa = serialize_dfa(outcome.dfa) if outcome.dfa else "none"
         digest.update(repr((dfa, orientation, outcome.bound)).encode())
         nodes += outcome.nodes
-    assert digest.hexdigest().startswith("552671ddb4160c5c")
-    assert nodes == 1422
+    return digest.hexdigest()[:16], nodes
+
+
+def battery_cases():
+    for formula in battery_formulas():
+        lower = build_lower_dfa(formula.var_count, formula.clause_count)
+        yield build_upper_dfa(formula, lower), lower, formula.var_count + 2
+
+
+def test_synth_refutes_three_variable_contradiction_in_pinned_nodes():
+    formula = CnfFormula(3, [(1,), (-1,)])
+    lower = build_lower_dfa(formula.var_count, formula.clause_count)
+    outcome = synth_min_distinguishing(build_upper_dfa(formula, lower), lower, 5)
+    assert not outcome.found
+    assert outcome.nodes == 12345
+
+
+def test_synth_caches_no_doomed_pair_set(monkeypatch):
+    # a pair set holding a doomed pair is refused before the escape
+    # cache, which keeps the reduction's caches small: 37 entries on
+    # 3-var [(1,2,3),(-1,-2)]
+    spaces = []
+
+    def recording(target, other):
+        spaces.append(_PairSpace(target, other))
+        return spaces[-1]
+
+    monkeypatch.setattr(distinguish, "_PairSpace", recording)
+    for a1, a2, budget in battery_cases():
+        spaces.clear()
+        synth_min_distinguishing(a1, a2, budget)
+        assert not any(key & s.doomed for s in spaces for key in s._escape_cache)
+    # the spaces left are those of the battery's last formula
+    assert battery_formulas()[-1] == CnfFormula(3, [(1, 2, 3), (-1, -2)])
+    assert sum(len(s._escape_cache) for s in spaces) < 100
+
+
+def test_synth_battery_answers_and_nodes_are_pinned():
+    # a change to the search's internals must keep its decisions: the
+    # same first table per formula, found after the same number of nodes
+    assert answers_and_nodes(battery_cases()) == ("552671ddb4160c5c", 1422)
+
+
+def test_synth_random_pair_answers_and_nodes_are_pinned():
+    cases = [(a, b, 4) for a, b in random_pair_battery()]
+    assert answers_and_nodes(cases) == ("f4d32e6f94167489", 639)
+
+
+def test_synth_hard_pair_answers_and_nodes_are_pinned():
+    # every pair needs three or four states, so the search refutes k = 2
+    # (and, for two pairs, k = 3) over the reduction's alphabet
+    cases = [(a, b, 4) for a, b in hard_pair_battery()]
+    assert answers_and_nodes(cases) == ("5cab2a319d57a3ed", 3150)
 
 
 def test_synth_leaves_no_cyclic_garbage():

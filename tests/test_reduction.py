@@ -223,7 +223,9 @@ def test_verify_lemma_satisfiable_unit():
     assert report.min_distinguishing_k <= 3
     assert report.bound == 3
     assert report.consistent
-    assert report.witness_distinguishing
+    lower = build_lower_dfa(1, 1)
+    upper = build_upper_dfa(report.formula, lower)
+    assert is_distinguishing(witness_dfa(report.model[:1]), upper, lower)
     assert evaluate(report.formula.as_instance(), report.model)
 
 
@@ -232,7 +234,7 @@ def test_verify_lemma_contradiction():
     assert not report.satisfiable
     assert not report.synth.found
     assert report.consistent
-    assert report.witness_distinguishing is None
+    assert report.model is None
     # independent confirmation that nothing small distinguishes the pair
     lower = build_lower_dfa(1, 2)
     upper = build_upper_dfa(report.formula, lower)
