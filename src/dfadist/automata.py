@@ -15,7 +15,7 @@ construction, so every operation can assume a complete DFA.  Provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 Word = str
 
@@ -73,12 +73,6 @@ class Alphabet:
     def __len__(self) -> int:
         return len(self.symbols)
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.symbols)
-
-    def __contains__(self, symbol: object) -> bool:
-        return isinstance(symbol, str) and symbol in self._pos
-
 
 @dataclass(frozen=True)
 class Dfa:
@@ -125,9 +119,6 @@ class Dfa:
     @property
     def state_count(self) -> int:
         return len(self.delta)
-
-    def step(self, state: int, symbol: str) -> int:
-        return self.delta[state][self.alphabet.index(symbol)]
 
     def run(self, word: Word) -> int:
         """State reached from the initial state after reading ``word``."""

@@ -18,6 +18,7 @@ an exhaustive per-orientation feasibility reference.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -82,7 +83,9 @@ class _PairSpace:
     state (in a minimized target, its rejecting sink): every image of a
     doomed pair is doomed and bad, so a pair set holding one never
     escapes.  Pair sets are bitmasks; ``bit[c][y]`` is the one-pair
-    image ``1 << step[c][y]``.
+    image ``1 << step[c][y]``, and ``step_set`` ORs those over a set, one
+    pair at a time (the spaces synthesis meets hold tens of pairs).  Only
+    ``escape_possible`` reads or writes its cache of answers per mask.
     """
 
     def __init__(self, target: Dfa, other: Dfa):
@@ -112,35 +115,18 @@ class _PairSpace:
                 self.bad |= 1 << y
             elif x not in other.accepting:
                 self.goal |= 1 << y
-        # step kernel: per symbol, per 8-pair chunk of a mask, the images
-        # of all 256 byte values.  A chunk's table is built on first use,
-        # so a large space pays only for the chunks a search reaches.
-        self._chunks: list[list[list[int] | None]] = [
-            [None] * ((len(pairs) + 7) // 8) for _ in range(width)
-        ]
         self._escape_cache: dict[int, bool] = {}
         self.nodes = 0  # nodes entered by searches over this space
 
-    def _chunk_table(self, c: int, chunk: int) -> list[int]:
-        table = [0]
-        for target in self.step[c][chunk * 8 : chunk * 8 + 8]:
-            bit = 1 << target
-            table += [m | bit for m in table]
-        self._chunks[c][chunk] = table
-        return table
-
     def step_set(self, c: int, mask: int) -> int:
-        """Image of a pair set under one symbol, one byte of the mask at a time."""
+        """Image of a pair set under one symbol: its pairs' images ORed,
+        lowest pair first."""
+        bits = self.bit[c]
         out = 0
-        tables = self._chunks[c]
-        chunk = 0
         while mask:
-            b = mask & 255
-            if b:
-                table = tables[chunk] or self._chunk_table(c, chunk)
-                out |= table[b]
-            mask >>= 8
-            chunk += 1
+            low = mask & -mask
+            out |= bits[low.bit_length() - 1]
+            mask ^= low
         return out
 
     def escape_possible(self, mask: int) -> bool:
@@ -206,37 +192,39 @@ def _loop_dfa(alphabet: Alphabet, word: Word) -> Dfa:
 
 
 def _cycle_candidate(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | None:
-    """Cheap pre-pass: candidates that loop one word forever.
+    """Cheap pre-pass: a k-state candidate that loops one word forever.
 
-    Such loops (``_loop_dfa``, one state per word position plus a sink)
-    are the natural shape of minimal distinguishers here, so they are
-    tried in length-lexicographic order before the general search; every
-    hit is verified against the pair space, which keeps this sound.
+    Such loops (``_loop_dfa``: one state per position of a word of k-1
+    letters, plus a sink) are the natural shape of minimal distinguishers
+    here, so the words are tried in lexicographic order before the
+    general search; every hit is verified against the pair space, which
+    keeps this sound.  Shorter loops are not tried: synthesis raises the
+    budget one state at a time, so on the same space each of them already
+    failed at a lower budget.  At k = 1 there is no loop.
     """
-    width = space.width
-    words: list[tuple[int, ...]] = [()]
-    for length in range(1, k):
-        words = [w + (c,) for w in words for c in range(width)]
-        for word in words:
-            # follow the cycle in the pair space; every visited pair must
-            # stay safe and some accepted iterate must hit a goal pair
-            state_masks = [0] * length
-            y = 0
-            pos = 0
-            ok = True
-            hit = False
-            while not state_masks[pos] >> y & 1:
-                state_masks[pos] |= 1 << y
-                if pos == 0:
-                    if 1 << y & space.bad:
-                        ok = False
-                        break
-                    if 1 << y & space.goal:
-                        hit = True
-                y = space.step[word[pos]][y]
-                pos = (pos + 1) % length
-            if ok and hit:
-                return _loop_dfa(alphabet, "".join(alphabet.symbols[c] for c in word))
+    if k == 1:
+        return None
+    length = k - 1
+    for word in itertools.product(range(space.width), repeat=length):
+        # follow the cycle in the pair space; every visited pair must
+        # stay safe and some accepted iterate must hit a goal pair
+        state_masks = [0] * length
+        y = 0
+        pos = 0
+        ok = True
+        hit = False
+        while not state_masks[pos] >> y & 1:
+            state_masks[pos] |= 1 << y
+            if pos == 0:
+                if 1 << y & space.bad:
+                    ok = False
+                    break
+                if 1 << y & space.goal:
+                    hit = True
+            y = space.step[word[pos]][y]
+            pos = (pos + 1) % length
+        if ok and hit:
+            return _loop_dfa(alphabet, "".join(alphabet.symbols[c] for c in word))
     return None
 
 
@@ -255,6 +243,11 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
     into one with a witness; subtrees where it cannot are cut.  The check
     only drops subtrees without a solution, so the first table found is
     the one an unpruned search would find.
+
+    The search runs only when ``_cycle_candidate`` finds no k-state loop.
+    Either way the answer is complete for k states; which DFA comes back
+    assumes, as in ``synth_min_distinguishing``, that the lower budgets
+    on this space were tried first.
     """
     looped = _cycle_candidate(alphabet, k, space)
     if looped is not None:
@@ -266,7 +259,7 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
     # witnesses instead of fanning out across sibling cells
     todo = [(0, c) for c in reversed(range(width))]
     step, step_set, bit = space.step, space.step_set, space.bit
-    escape_possible, escape_cache = space.escape_possible, space._escape_cache
+    escape_possible = space.escape_possible
     goal, bad, doomed = space.goal, space.bad, space.doomed
 
     def propagate(state: int, add: int) -> bool:
@@ -368,8 +361,7 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
                         return True
                     if (t, y2) not in seen:
                         seen.add((t, y2))
-                        escapes = escape_cache.get(mask)
-                        if escapes or escapes is None and escape_possible(mask):
+                        if escape_possible(mask):
                             stack.append((t, y2))
         return False
 

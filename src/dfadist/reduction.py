@@ -150,10 +150,17 @@ class LemmaReport:
     """Outcome of one end-to-end satisfiability correspondence check."""
 
     formula: CnfFormula
-    satisfiable: bool
     model: Model | None
     synth: SynthOutcome
-    bound: int
+
+    @property
+    def satisfiable(self) -> bool:
+        return self.model is not None
+
+    @property
+    def bound(self) -> int:
+        """The state budget of the lemma: k+2 for k variables."""
+        return self.formula.var_count + 2
 
     @property
     def consistent(self) -> bool:
@@ -166,7 +173,7 @@ class LemmaReport:
     def render(self) -> str:
         lines = [
             f"sat: {'yes' if self.satisfiable else 'no'}",
-            f"min_distinguishing_k: {self.min_distinguishing_k if self.synth.found else 'none'}",
+            f"min_distinguishing_k: {self.min_distinguishing_k or 'none'}",
             f"bound: k+2 = {self.bound}",
             f"verdict: {'CONSISTENT' if self.consistent else 'INCONSISTENT'}",
         ]
@@ -197,12 +204,5 @@ def verify_lemma(formula: CnfFormula) -> LemmaReport:
             "witness DFA from the solver model failed the distinguishing re-check; "
             "this indicates a reduction bug"
         )
-    bound = k + 2
-    synth = synth_min_distinguishing(upper, lower, bound)
-    return LemmaReport(
-        formula=formula,
-        satisfiable=model is not None,
-        model=model,
-        synth=synth,
-        bound=bound,
-    )
+    synth = synth_min_distinguishing(upper, lower, k + 2)
+    return LemmaReport(formula=formula, model=model, synth=synth)

@@ -101,7 +101,7 @@ def test_dfa_requires_total_in_range_table():
 def test_dfa_is_complete_everywhere(d):
     for q in range(d.state_count):
         for c in d.alphabet.symbols:
-            assert 0 <= d.step(q, c) < d.state_count
+            assert 0 <= d.delta[q][d.alphabet.index(c)] < d.state_count
 
 
 # ---------------------------------------------------------------------

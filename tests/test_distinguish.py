@@ -21,6 +21,7 @@ from dfadist.distinguish import (
     Orientation,
     SynthOutcome,
     _PairSpace,
+    _cycle_candidate,
     _search_feasible,
     is_distinguishing,
     shortest_distinguishing_word,
@@ -186,12 +187,32 @@ def test_escape_possible_matches_plain_subset_search(target, other, data):
     for mask in masks:
         pair_set = frozenset(p for y, p in enumerate(pairs) if mask >> y & 1)
         assert space.escape_possible(mask) == escape_reference(target, other, pair_set)
+        for c in range(space.width):
+            image = {(target.delta[t][c], other.delta[x][c]) for t, x in pair_set}
+            assert space.step_set(c, mask) == sum(1 << pairs.index(p) for p in image)
     assert not any(key & space.doomed for key in space._escape_cache)
 
 
 # ---------------------------------------------------------------------
 # synthesis
 # ---------------------------------------------------------------------
+
+def test_cycle_candidate_tries_only_k_state_loops():
+    # at budget k the pre-pass returns None or a loop of exactly k states:
+    # synthesis reaches k only after every smaller budget failed
+    formula = CnfFormula(1, [(1,)])
+    lower = build_lower_dfa(formula.var_count, formula.clause_count)
+    upper = build_upper_dfa(formula, lower)
+    space = _PairSpace(upper.minimize(), lower.minimize())
+    sizes = []
+    for k in range(1, 5):
+        loop = _cycle_candidate(upper.alphabet, k, space)
+        if loop is not None:
+            assert loop.state_count == k
+            assert is_subset(loop, upper) and not is_subset(loop, lower)
+        sizes.append(loop and loop.state_count)
+    assert sizes == [None, None, 3, 4]
+
 
 def test_synth_example_pair_two_states(example_a, example_b):
     outcome = synth_min_distinguishing(example_a, example_b, 8)
