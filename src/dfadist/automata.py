@@ -152,28 +152,24 @@ class Dfa:
     def minimize(self) -> Dfa:
         """Unique minimal complete DFA for the same language.
 
-        Partition refinement (Hopcroft) over the reachable states, then
-        one BFS over the blocks from the initial state's, with
-        alphabet-ordered edges, numbers the blocks and writes the
-        quotient rows, so the result is deterministic and minimize is
-        idempotent: it returns its own output unchanged.  Unreachable
-        states are dropped.
+        Partition refinement (Hopcroft) over the reachable states.  Each
+        block is numbered, and its row read off, at its first state in
+        ``reachable_states`` order.  All states of a block have the same
+        successor blocks, so that is BFS order over the blocks, and the
+        result is deterministic: minimize returns its own output
+        unchanged.  Unreachable states are dropped.
         """
         if self._minimal:
             return self
-        block_of = _hopcroft(self, self.reachable_states())
-        new_id = {block_of[self.initial]: 0}
-        order = [self.initial]  # one representative state per block
-        delta = []
-        for q in order:
-            row = []
-            for t in self.delta[q]:
-                block = block_of[t]
-                if block not in new_id:
-                    new_id[block] = len(order)
-                    order.append(t)
-                row.append(new_id[block])
-            delta.append(row)
+        reachable = self.reachable_states()
+        block_of = _hopcroft(self, reachable)
+        new_id: dict[int, int] = {}
+        order = []  # the first state of each block
+        for q in reachable:
+            if block_of[q] not in new_id:
+                new_id[block_of[q]] = len(order)
+                order.append(q)
+        delta = [[new_id[block_of[t]] for t in self.delta[q]] for q in order]
         accepting = {i for i, q in enumerate(order) if q in self.accepting}
         minimal = Dfa(self.alphabet, delta, 0, accepting)
         object.__setattr__(minimal, "_minimal", True)
@@ -193,48 +189,44 @@ class Dfa:
         return "\n".join(lines) + "\n"
 
 
-def _hopcroft(dfa: Dfa, reachable: list[int]) -> dict[int, frozenset[int]]:
+def _hopcroft(dfa: Dfa, reachable: list[int]) -> dict[int, int]:
     """Hopcroft's refinement restricted to the reachable states.
 
-    Returns each reachable state's block in the coarsest partition into
-    language-equivalence classes.
+    Returns each reachable state's block number in the coarsest
+    partition into language-equivalence classes.  A split moves only
+    the states the splitter reached, into a new block.
     """
-    final = frozenset(q for q in reachable if q in dfa.accepting)
-    nonfinal = frozenset(reachable) - final
-    block_of = {q: block for block in (final, nonfinal) for q in block}
-    if not final or not nonfinal:
+    final = {q for q in reachable if q in dfa.accepting}
+    blocks = [final, set(reachable) - final]
+    block_of = {q: 0 if q in final else 1 for q in reachable}
+    if not blocks[0] or not blocks[1]:
         return block_of
 
-    preds: dict[tuple[int, int], list[int]] = {}
-    width = len(dfa.alphabet)
+    preds: list[dict[int, list[int]]] = [{} for _ in dfa.alphabet.symbols]
     for q in reachable:
-        row = dfa.delta[q]
-        for c in range(width):
-            preds.setdefault((c, row[c]), []).append(q)
+        for c, t in enumerate(dfa.delta[q]):
+            preds[c].setdefault(t, []).append(q)
 
     # a set: the coarsest partition is unique, so pop order cannot matter
-    worklist = {min(final, nonfinal, key=len)}
+    worklist = {0 if len(blocks[0]) <= len(blocks[1]) else 1}
     while worklist:
-        splitter = worklist.pop()
-        for c in range(width):
-            affected: dict[frozenset[int], set[int]] = {}
+        # a copy: the splitter may split itself, and every symbol must see all of it
+        splitter = tuple(blocks[worklist.pop()])
+        for pred in preds:
+            affected: dict[int, set[int]] = {}
             for target in splitter:
-                for q in preds.get((c, target), ()):
+                for q in pred.get(target, ()):
                     affected.setdefault(block_of[q], set()).add(q)
-            for block, overlap in affected.items():
-                if len(overlap) == len(block):
+            for b, part in affected.items():
+                block = blocks[b]
+                if len(part) == len(block):
                     continue
-                part1 = frozenset(overlap)
-                part2 = block - part1
-                for q in part1:
-                    block_of[q] = part1
-                for q in part2:
-                    block_of[q] = part2
-                if block in worklist:
-                    worklist.remove(block)
-                    worklist |= {part1, part2}
-                else:
-                    worklist.add(min(part1, part2, key=len))
+                block.difference_update(part)
+                new = len(blocks)
+                blocks.append(part)
+                for q in part:
+                    block_of[q] = new
+                worklist.add(new if b in worklist or len(part) <= len(block) else b)
     return block_of
 
 

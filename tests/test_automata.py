@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -360,6 +362,9 @@ def test_minimize_drops_unreachable_states():
 def test_minimize_idempotent_and_language_preserving(d):
     m = d.minimize()
     assert is_equivalent(d, m)
+    assert states_pairwise_distinguishable(m)
+    # the canonical numbering is BFS order from the initial state
+    assert m.reachable_states() == list(range(m.state_count))
     assert m.minimize() is m
     # the flag that marks m as minimal takes no part in value semantics
     copy = parse_dfa(serialize_dfa(m))
@@ -382,10 +387,29 @@ def test_only_minimize_marks_a_dfa_minimal():
 
 
 def test_minimize_canonical_under_isomorphism(rng):
-    for _ in range(20):
-        d = random_dfa(rng, rng.randint(2, 7))
-        shuffled = permuted_copy(d, rng)
-        assert serialize_dfa(d.minimize()) == serialize_dfa(shuffled.minimize())
+    def check(d):
+        m = d.minimize()
+        assert is_equivalent(d, m)
+        assert serialize_dfa(permuted_copy(d, rng).minimize()) == serialize_dfa(m)
+
+    for _ in range(200):
+        check(random_dfa(rng, rng.randint(2, 7)))
+    # large inputs, so the refinement runs through many splits
+    for _ in range(5):
+        check(random_dfa(rng, 300, "01#"))
+        delta = [(rng.randrange(300), rng.randrange(300)) for _ in range(300)]
+        check(Dfa("ab", delta, 0, {q for q in range(300) if rng.random() < 0.1}))
+
+
+def test_minimize_chain_is_not_quadratic():
+    # `a` advances, `b` resets, the last state accepts: every state is its
+    # own class, and a refinement that copies a whole block on each split
+    # takes quadratic time here
+    n = 20_000
+    chain = Dfa("ab", [(min(q + 1, n - 1), 0) for q in range(n)], 0, {n - 1})
+    start = time.perf_counter()
+    assert chain.minimize().state_count == n
+    assert time.perf_counter() - start < 2.0
 
 
 def test_nerode_count_universal_language():
