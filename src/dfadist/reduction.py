@@ -46,14 +46,16 @@ class CnfFormula:
 
     def __post_init__(self):
         object.__setattr__(self, "clauses", tuple([tuple(c) for c in self.clauses]))
-        if self.var_count < 1:
-            raise FormulaError(f"need at least one variable, got {self.var_count}")
+        if type(self.var_count) is not int or self.var_count < 1:
+            raise FormulaError(f"variable count must be a positive int, got {self.var_count!r}")
         if not self.clauses:
             raise FormulaError("need at least one clause")
         for i, clause in enumerate(self.clauses):
             if not clause:
                 raise FormulaError(f"clause {i + 1} is empty")
             for lit in clause:
+                if type(lit) is not int:
+                    raise FormulaError(f"clause {i + 1}: literal {lit!r} is not an int")
                 if lit == 0 or abs(lit) > self.var_count:
                     raise FormulaError(
                         f"clause {i + 1}: literal {lit} outside 1..{self.var_count}"

@@ -3,7 +3,9 @@
 Deliberately simple: two-watched-literal propagation, chronological
 backtracking, a fixed branching rule (lowest-indexed unassigned variable,
 false before true), no clause learning and no restarts.  That keeps the
-engine auditable and makes ``solve`` fully deterministic.
+engine auditable and makes ``solve`` fully deterministic.  A decision is
+kept only as its trail position, and a conflict makes one undo: back to
+the latest decision still set false, whose variable is then set true.
 """
 
 from __future__ import annotations
@@ -31,11 +33,15 @@ class CnfInstance:
     clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.var_count < 1:
-            raise ValueError(f"var_count must be positive, got {self.var_count}")
+        # exactly int, as Dfa's state ids: a float would fail later as a
+        # list index, and a bool would pass as the literal 1
+        if type(self.var_count) is not int or self.var_count < 1:
+            raise ValueError(f"var_count must be a positive int, got {self.var_count!r}")
         object.__setattr__(self, "clauses", tuple([tuple(c) for c in self.clauses]))
         for clause in self.clauses:
             for lit in clause:
+                if type(lit) is not int:
+                    raise ValueError(f"literal {lit!r} is not an int")
                 if lit == 0 or abs(lit) > self.var_count:
                     raise ValueError(f"literal {lit} outside 1..{self.var_count}")
 
@@ -75,6 +81,8 @@ def parse_dimacs(text: str) -> CnfInstance:
                 raise DimacsParseError(f"line {lineno}: malformed header {line!r}") from None
             if var_count < 1:
                 raise DimacsParseError(f"line {lineno}: variable count must be positive")
+            if declared_clauses < 0:
+                raise DimacsParseError(f"line {lineno}: clause count must not be negative")
             continue
         if var_count is None:
             raise DimacsParseError(f"line {lineno}: clause before 'p cnf' header")
@@ -109,27 +117,30 @@ def solve(instance: CnfInstance) -> Model | None:
 
     Branches on the lowest-indexed unassigned variable, false first,
     with unit propagation after every decision, so the returned model is
-    a deterministic function of the instance.
+    a deterministic function of the instance.  A decision is just its
+    trail position; a conflict undoes the trail to the latest one and
+    sets its variable true, implied at the level below.
     """
     nvars = instance.var_count
     assign: list[bool | None] = [None] * (nvars + 1)
     trail: list[int] = []
     # watch lists: literal -> clauses (as mutable lists with watches at slots 0/1)
     watch: dict[int, list[list[int]]] = {}
-    units: list[int] = []
     for clause in instance.clauses:
         lits = list(dict.fromkeys(clause))
         if not lits:
             return None
-        if len(lits) == 1:
-            units.append(lits[0])
-            continue
-        watch.setdefault(lits[0], []).append(lits)
-        watch.setdefault(lits[1], []).append(lits)
+        if len(lits) > 1:
+            watch.setdefault(lits[0], []).append(lits)
+            watch.setdefault(lits[1], []).append(lits)
+        elif assign[abs(lits[0])] is None:
+            assign[abs(lits[0])] = lits[0] > 0
+            trail.append(lits[0])
+        elif assign[abs(lits[0])] != (lits[0] > 0):
+            return None
 
-    def propagate(start: int) -> bool:
-        """Exhaust unit consequences of trail[start:]; False on conflict."""
-        i = start
+    def propagate(i: int) -> bool:
+        """Exhaust unit consequences of trail[i:]; False on conflict."""
         while i < len(trail):
             falsified = -trail[i]
             i += 1
@@ -137,70 +148,51 @@ def solve(instance: CnfInstance) -> Model | None:
             if not watching:
                 continue
             keep = []
-            j = 0
-            try:
-                for j, lits in enumerate(watching):
-                    if lits[0] == falsified:
-                        lits[0], lits[1] = lits[1], lits[0]
-                    other = lits[0]
-                    oval = assign[abs(other)]
-                    if oval is not None and oval == (other > 0):
-                        keep.append(lits)
-                        continue
-                    for k in range(2, len(lits)):
-                        cand = lits[k]
-                        cval = assign[abs(cand)]
-                        if cval is None or cval == (cand > 0):
-                            lits[1], lits[k] = lits[k], lits[1]
-                            watch.setdefault(cand, []).append(lits)
-                            break
-                    else:
-                        keep.append(lits)
-                        if oval is None:
-                            assign[abs(other)] = other > 0
-                            trail.append(other)
-                        else:
-                            keep.extend(watching[j + 1 :])
-                            return False
-            finally:
-                watch[falsified] = keep
+            for j, lits in enumerate(watching):
+                if lits[0] == falsified:
+                    lits[0], lits[1] = lits[1], lits[0]
+                other = lits[0]
+                oval = assign[abs(other)]
+                if oval is not None and oval == (other > 0):
+                    keep.append(lits)
+                    continue
+                for k in range(2, len(lits)):
+                    cand = lits[k]
+                    cval = assign[abs(cand)]
+                    if cval is None or cval == (cand > 0):
+                        lits[1], lits[k] = lits[k], lits[1]
+                        watch.setdefault(cand, []).append(lits)
+                        break
+                else:
+                    keep.append(lits)
+                    if oval is not None:
+                        watch[falsified] = keep + watching[j + 1 :]
+                        return False
+                    assign[abs(other)] = other > 0
+                    trail.append(other)
+            watch[falsified] = keep
         return True
 
-    for lit in units:
-        val = assign[abs(lit)]
-        if val is None:
-            assign[abs(lit)] = lit > 0
-            trail.append(lit)
-        elif val != (lit > 0):
-            return None
-    if not propagate(0):
-        return None
-
-    # decision stack: (variable, trail length before the decision, tried_true)
-    decisions: list[tuple[int, int, bool]] = []
+    decisions: list[int] = []  # trail positions of the decisions set false
     cursor = 1
+    start = 0
     while True:
+        if not propagate(start):
+            if not decisions:
+                return None
+            start = decisions.pop()
+            cursor = -trail[start]
+            for lit in trail[start:]:
+                assign[abs(lit)] = None
+            del trail[start:]
+            assign[cursor] = True
+            trail.append(cursor)
+            continue
         while cursor <= nvars and assign[cursor] is not None:
             cursor += 1
         if cursor > nvars:
             return tuple([bool(assign[v]) for v in range(1, nvars + 1)])
-        var = cursor
-        decisions.append((var, len(trail), False))
-        assign[var] = False
-        trail.append(-var)
-        while not propagate(len(trail) - 1):
-            while decisions and decisions[-1][2]:
-                var, mark, _ = decisions.pop()
-                for lit in trail[mark:]:
-                    assign[abs(lit)] = None
-                del trail[mark:]
-            if not decisions:
-                return None
-            var, mark, _ = decisions.pop()
-            for lit in trail[mark:]:
-                assign[abs(lit)] = None
-            del trail[mark:]
-            decisions.append((var, mark, True))
-            assign[var] = True
-            trail.append(var)
-            cursor = var
+        start = len(trail)
+        decisions.append(start)
+        assign[cursor] = False
+        trail.append(-cursor)

@@ -305,6 +305,17 @@ def test_clause_count_mismatch_is_one_warning_line(workdir, capsys):
     assert err == "warning: header declares 3 clauses, found 2\n"
 
 
+def test_negative_clause_count_is_one_error_line(workdir, capsys):
+    bad = workdir / "negative.cnf"
+    bad.write_text("p cnf 2 -1\n1 0\n")
+    code, out, err = run(capsys, "sat", bad)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:")
+    assert "clause count" in err
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

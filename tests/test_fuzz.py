@@ -35,7 +35,7 @@ DFA_BREAKS = [
 VALID_CNF = ["c comment", "p cnf 2 2", "1 -2 0", "2 0"]
 CNF_BREAKS = [
     ["c", "x"],
-    ["p cnf 2 3", "p cnf 0 2", "p cnf x 2", "p dnf 2 2", "p cnf 2"],
+    ["p cnf 2 3", "p cnf 0 2", "p cnf x 2", "p dnf 2 2", "p cnf 2", "p cnf 2 -1"],
     ["1 -3 0", "1 x 0", "0", "1 -2"],
     ["2", "p cnf 2 2", "-1 -1 0 0"],
 ]
@@ -44,7 +44,7 @@ CNF_BREAKS = [
 def broken(valid, breaks):
     """The valid file with up to three lines swapped for broken variants,
     as is or with its lines shuffled."""
-    edits = st.lists(st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 4)), max_size=3)
+    edits = st.lists(st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 5)), max_size=3)
 
     def apply(edits):
         lines = list(valid)

@@ -42,6 +42,10 @@ def test_formula_rejects_bad_literals():
         CnfFormula(0, [(1,)])
     with pytest.raises(FormulaError):
         CnfFormula(1, [])
+    # exactly int, as CnfInstance: True would pass as the literal 1
+    for var_count, clauses in [(1, [(True,)]), (2, [(1.0,)]), (2.0, [(1,)]), (True, [(1,)])]:
+        with pytest.raises(FormulaError):
+            CnfFormula(var_count, clauses)
 
 
 # ---------------------------------------------------------------------

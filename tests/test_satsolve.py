@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,6 +28,11 @@ def test_instance_validates_literals():
         CnfInstance(2, [(0,)])
     with pytest.raises(ValueError):
         CnfInstance(2, [(3,)])
+    # exactly int: a float would fail inside solve as a list index, and
+    # a bool would pass as 0 or 1
+    for var_count, clauses in [(2.0, [(1,)]), (True, [(1,)]), (2, [(1.0,)]), (2, [(True,)])]:
+        with pytest.raises(ValueError):
+            CnfInstance(var_count, clauses)
 
 
 def test_instance_allows_repeats_and_empty_clause():
@@ -72,6 +79,7 @@ def test_parse_clause_count_mismatch_warns():
         "p cnf 0 0\n",
         "p cnf 1 1\nx 0\n",
         "p cnf 1 1\np cnf 1 1\n1 0\n",
+        "p cnf 2 -1\n1 0\n",
     ],
 )
 def test_parse_errors(text):
@@ -150,3 +158,53 @@ def test_solve_pigeonhole_unsat():
         for p1, p2 in itertools.combinations(range(3), 2):
             clauses.append((-var(p1, h), -var(p2, h)))
     assert solve(CnfInstance(6, clauses)) is None
+
+
+def random_instance(rng):
+    """1-12 variables and up to 5n clauses of width 1-4, now and then
+    empty; literals are drawn with replacement, so clauses repeat
+    literals and hold complementary pairs."""
+    n = rng.randint(1, 12)
+    clauses = []
+    for _ in range(rng.randint(0, 5 * n)):
+        width = rng.choice((1, 2, 3, 3, 3, 4)) if rng.random() < 0.99 else 0
+        clauses.append(tuple(rng.choice((-1, 1)) * rng.randint(1, n) for _ in range(width)))
+    return CnfInstance(n, clauses)
+
+
+def test_solve_models_are_pinned():
+    # a change to the search's internals must keep its answers: the same
+    # model (or None) on every instance of a seeded battery
+    rng = random.Random(17)
+    digest = hashlib.sha256()
+    unsat = 0
+    for _ in range(3000):
+        model = solve(random_instance(rng))
+        digest.update(repr(model).encode())
+        unsat += model is None
+    assert (digest.hexdigest()[:16], unsat) == ("975e767d5b70a801", 1368)
+
+
+def timed_solve(instance):
+    start = time.perf_counter()
+    model = solve(instance)
+    return model, time.perf_counter() - start
+
+
+def test_solve_implication_chain_is_linear():
+    # 1 and i -> i+1 force every variable true through one propagation
+    # pass; a clause scan per assignment would take minutes
+    n = 100_000
+    chain = CnfInstance(n, [(1,)] + [(-i, i + 1) for i in range(1, n)])
+    model, seconds = timed_solve(chain)
+    assert model == (True,) * n
+    assert seconds < 2
+
+
+def test_solve_unconstrained_variables_are_linear():
+    # n decisions with nothing to propagate; a rescan from variable 1
+    # per decision would take minutes
+    n = 100_000
+    model, seconds = timed_solve(CnfInstance(n, []))
+    assert model == (False,) * n
+    assert seconds < 2
