@@ -23,7 +23,7 @@ from .distinguish import (
     shortest_distinguishing_word,
     synth_min_distinguishing,
 )
-from .reduction import CnfFormula, FormulaError, build_lower_dfa, build_upper_dfa, verify_lemma
+from .reduction import CnfFormula, build_lower_dfa, build_upper_dfa, verify_lemma
 from .satsolve import CnfInstance, DimacsParseError, parse_dimacs, solve
 
 EXIT_TRUE = 0
@@ -47,7 +47,8 @@ def _read_cnf(path: str) -> CnfInstance:
 
 
 def _load_cnf(path: str) -> CnfFormula:
-    return CnfFormula.from_instance(_read_cnf(path))
+    instance = _read_cnf(path)
+    return CnfFormula(instance.var_count, instance.clauses)
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
@@ -179,7 +180,6 @@ def main(argv: list[str] | None = None) -> int:
     except (
         AutomataError,
         DimacsParseError,
-        FormulaError,
         ValueError,
         OSError,
         RuntimeError,  # a failed re-check; RecursionError is one too

@@ -29,48 +29,33 @@ from .satsolve import CnfInstance, Model, evaluate, solve
 REDUCTION_ALPHABET = "01#"
 
 
-class FormulaError(Exception):
+class FormulaError(ValueError):
     """Invalid formula for the reduction (empty clause, bad literal)."""
 
 
 @dataclass(frozen=True)
-class CnfFormula:
-    """CNF input to the reduction: k >= 1 variables, n >= 1 nonempty clauses.
+class CnfFormula(CnfInstance):
+    """CNF input to the reduction: a CnfInstance with n >= 1 clauses, none empty.
 
     Empty clauses are rejected up front: they would collapse the upper
-    language onto the lower one, leaving nothing to distinguish.
+    language onto the lower one, leaving nothing to distinguish.  Every
+    invalid input raises ``FormulaError``, the instance's checks included.
     """
 
-    var_count: int
-    clauses: tuple[tuple[int, ...], ...]
-
     def __post_init__(self):
-        object.__setattr__(self, "clauses", tuple([tuple(c) for c in self.clauses]))
-        if type(self.var_count) is not int or self.var_count < 1:
-            raise FormulaError(f"variable count must be a positive int, got {self.var_count!r}")
+        try:
+            super().__post_init__()
+        except ValueError as err:
+            raise FormulaError(str(err)) from None
         if not self.clauses:
             raise FormulaError("need at least one clause")
-        for i, clause in enumerate(self.clauses):
+        for i, clause in enumerate(self.clauses, start=1):
             if not clause:
-                raise FormulaError(f"clause {i + 1} is empty")
-            for lit in clause:
-                if type(lit) is not int:
-                    raise FormulaError(f"clause {i + 1}: literal {lit!r} is not an int")
-                if lit == 0 or abs(lit) > self.var_count:
-                    raise FormulaError(
-                        f"clause {i + 1}: literal {lit} outside 1..{self.var_count}"
-                    )
+                raise FormulaError(f"clause {i} is empty")
 
     @property
     def clause_count(self) -> int:
         return len(self.clauses)
-
-    def as_instance(self) -> CnfInstance:
-        return CnfInstance(self.var_count, self.clauses)
-
-    @classmethod
-    def from_instance(cls, instance: CnfInstance) -> "CnfFormula":
-        return cls(instance.var_count, instance.clauses)
 
 
 Assignment = Sequence[bool]
@@ -193,9 +178,8 @@ def verify_lemma(formula: CnfFormula) -> LemmaReport:
     ``RuntimeError``.
     """
     k, n = formula.var_count, formula.clause_count
-    instance = formula.as_instance()
-    model = solve(instance)
-    if model is not None and not evaluate(instance, model):
+    model = solve(formula)
+    if model is not None and not evaluate(formula, model):
         raise RuntimeError(
             "solver model failed the clause re-check; this indicates a solver bug"
         )

@@ -37,13 +37,16 @@ class CnfInstance:
         # list index, and a bool would pass as the literal 1
         if type(self.var_count) is not int or self.var_count < 1:
             raise ValueError(f"var_count must be a positive int, got {self.var_count!r}")
-        object.__setattr__(self, "clauses", tuple([tuple(c) for c in self.clauses]))
-        for clause in self.clauses:
+        try:
+            object.__setattr__(self, "clauses", tuple([tuple(c) for c in self.clauses]))
+        except TypeError:
+            raise ValueError("clauses must be an iterable of literal iterables") from None
+        for i, clause in enumerate(self.clauses, start=1):
             for lit in clause:
                 if type(lit) is not int:
-                    raise ValueError(f"literal {lit!r} is not an int")
+                    raise ValueError(f"clause {i}: literal {lit!r} is not an int")
                 if lit == 0 or abs(lit) > self.var_count:
-                    raise ValueError(f"literal {lit} outside 1..{self.var_count}")
+                    raise ValueError(f"clause {i}: literal {lit} outside 1..{self.var_count}")
 
 
 def evaluate(instance: CnfInstance, model: Sequence[bool]) -> bool:

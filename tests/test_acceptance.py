@@ -115,7 +115,7 @@ def test_criterion_3_satisfiable_side(battery):
         for entry in sat_entries:
             k = entry.formula.var_count
             report = entry.report
-            assert evaluate(entry.formula.as_instance(), report.model)
+            assert evaluate(entry.formula, report.model)
             witness = witness_dfa(report.model[:k])
             assert is_distinguishing(witness, entry.upper, entry.lower), entry.formula
             assert witness.state_count == k + 2
@@ -231,7 +231,7 @@ def test_criterion_8_sat_engine_agreement(battery, rng):
     with criterion(8, "solver agrees with truth tables on battery and random 3-CNF"):
         disagreements = 0
         for entry in battery.entries:
-            instance = entry.formula.as_instance()
+            instance = entry.formula
             model = solve(instance)
             expected = truth_table_satisfiable(instance.var_count, instance.clauses)
             if (model is not None) != expected:

@@ -1,5 +1,9 @@
 import argparse
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -320,6 +324,30 @@ def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("verify-lemma", "unit_pos.cnf"), 0),
+        (("sat", "contradiction.cnf"), 1),
+        (("verify-lemma", "missing.cnf"), 2),
+    ],
+)
+def test_module_entry_point_exit_codes(data_dir, argv, expected):
+    # the process path: `python -m dfadist.cli` ends in sys.exit(main())
+    src = Path(__file__).parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "dfadist.cli", *argv],
+        cwd=data_dir,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == expected
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ") == (expected == 2)
 
 
 # ---------------------------------------------------------------------

@@ -15,6 +15,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import given, strategies as st
 
 from dfadist.automata import DfaParseError, parse_dfa, serialize_dfa
@@ -134,4 +135,26 @@ def test_cli_on_fuzzed_dfa_files(x, y, argv):
 
 @given(CNF_TEXT, st.sampled_from(CNF_COMMANDS))
 def test_cli_on_fuzzed_cnf_files(c, argv):
+    run_cli({"c": c}, argv)
+
+
+def each_break(valid, breaks):
+    """The valid file with one line swapped for one broken variant, for
+    every variant: the fuzz tests above draw any one of them only rarely."""
+    return [
+        pytest.param("\n".join(valid[:i] + [variant] + valid[i + 1:]), id=f"line{i}-{j}")
+        for i, variants in enumerate(breaks)
+        for j, variant in enumerate(variants)
+    ]
+
+
+@pytest.mark.parametrize("argv", DFA_COMMANDS)
+@pytest.mark.parametrize("x", each_break(VALID_DFA, DFA_BREAKS))
+def test_cli_on_each_broken_dfa_line(x, argv):
+    run_cli({"x": x, "y": "\n".join(VALID_DFA)}, argv)
+
+
+@pytest.mark.parametrize("argv", CNF_COMMANDS)
+@pytest.mark.parametrize("c", each_break(VALID_CNF, CNF_BREAKS))
+def test_cli_on_each_broken_cnf_line(c, argv):
     run_cli({"c": c}, argv)

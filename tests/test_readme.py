@@ -13,6 +13,7 @@ def test_readme_examples(capsys, data_dir):
     exec(library, scope)
     stated = {
         "shortest_distinguishing_word(a, b)": "aaaaaaa",
+        "evaluate(formula, solve(formula))": True,
         "out.bound, out.dfa.state_count": (2, 2),
         "report.satisfiable, report.min_distinguishing_k, report.consistent": (True, 4, True),
     }

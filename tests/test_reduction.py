@@ -14,7 +14,7 @@ from dfadist.reduction import (
     verify_lemma,
     witness_dfa,
 )
-from dfadist.satsolve import evaluate
+from dfadist.satsolve import CnfInstance, evaluate, solve
 
 from support import (
     all_words,
@@ -46,6 +46,27 @@ def test_formula_rejects_bad_literals():
     for var_count, clauses in [(1, [(True,)]), (2, [(1.0,)]), (2.0, [(1,)]), (True, [(1,)])]:
         with pytest.raises(FormulaError):
             CnfFormula(var_count, clauses)
+    # the instance's checks are the formula's: each input fails both
+    # constructors with one message, a ValueError and a FormulaError
+    invalid = [
+        (1, [(2,)]), (1, [(0,)]), (0, [(1,)]), (1, [(1,), (True,)]), (2, [(1.0,)]),
+        (2.0, [(1,)]), (True, [(1,)]), (2, [1]), (2, None), (2, [(1,), 3]),
+    ]
+    for var_count, clauses in invalid:
+        with pytest.raises(ValueError) as instance_err:
+            CnfInstance(var_count, clauses)
+        assert type(instance_err.value) is ValueError
+        with pytest.raises(FormulaError) as formula_err:
+            CnfFormula(var_count, clauses)
+        assert str(formula_err.value) == str(instance_err.value)
+    with pytest.raises(FormulaError, match="clause 2: literal 5 outside 1..3"):
+        CnfFormula(3, [(1,), (2, 5)])
+    # so a formula is an instance, and goes straight to the solver
+    formula = CnfFormula(2, [(1, 2), (-1,)])
+    assert isinstance(formula, CnfInstance) and issubclass(FormulaError, ValueError)
+    model = solve(formula)
+    assert model == (False, True)
+    assert evaluate(formula, model)
 
 
 # ---------------------------------------------------------------------
@@ -230,7 +251,7 @@ def test_verify_lemma_satisfiable_unit():
     lower = build_lower_dfa(1, 1)
     upper = build_upper_dfa(report.formula, lower)
     assert is_distinguishing(witness_dfa(report.model[:1]), upper, lower)
-    assert evaluate(report.formula.as_instance(), report.model)
+    assert evaluate(report.formula, report.model)
 
 
 def test_verify_lemma_contradiction():
@@ -250,7 +271,7 @@ def test_verify_lemma_rechecks_the_solver_model(monkeypatch):
     formula = CnfFormula(1, [(1,)])
     monkeypatch.setattr(
         "dfadist.reduction.solve",
-        lambda instance: (False,) if instance == formula.as_instance() else None,
+        lambda instance: (False,) if instance == formula else None,
     )
     with pytest.raises(RuntimeError, match="re-check"):
         verify_lemma(formula)

@@ -33,6 +33,11 @@ def test_instance_validates_literals():
     for var_count, clauses in [(2.0, [(1,)]), (True, [(1,)]), (2, [(1.0,)]), (2, [(True,)])]:
         with pytest.raises(ValueError):
             CnfInstance(var_count, clauses)
+    # clauses that are not iterables of literals: a ValueError, not the
+    # bare TypeError of tuple()
+    for clauses in [[1], None, [(1,), 3]]:
+        with pytest.raises(ValueError, match="iterable"):
+            CnfInstance(2, clauses)
 
 
 def test_instance_allows_repeats_and_empty_clause():
