@@ -68,9 +68,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     if not outcome.found:
         print("none")
         return EXIT_FALSE
-    print(f"k={outcome.bound} orientation={outcome.orientation.value}")
     if args.emit:
         Path(args.emit).write_text(serialize_dfa(outcome.dfa), encoding="utf-8")
+    print(f"k={outcome.bound} orientation={outcome.orientation.value}")
     return EXIT_TRUE
 
 

@@ -79,13 +79,17 @@ class _PairSpace:
     there would break inclusion in the target), ``goal`` marks pairs
     where t accepts and x rejects (accepting there certifies the
     escape).  ``goal`` is empty exactly when L(target) is inside
-    L(other).  ``doomed`` marks pairs where t can reach no accepting
-    state (in a minimized target, its rejecting sink): every image of a
-    doomed pair is doomed and bad, so a pair set holding one never
-    escapes.  Pair sets are bitmasks; ``bit[c][y]`` is the one-pair
-    image ``1 << step[c][y]``, and ``step_set`` ORs those over a set, one
-    pair at a time (the spaces synthesis meets hold tens of pairs).  Only
-    ``escape_possible`` reads or writes its cache of answers per mask.
+    L(other).  ``doomed`` marks pairs where t is the rejecting sink, a
+    non-accepting state whose transitions all loop back to it: every
+    image of a doomed pair is doomed and bad, so a pair set holding one
+    never escapes.  The target must be minimized (synthesis minimizes
+    its inputs): then its only state with an empty language, if any, is
+    that sink.  On other targets ``doomed`` misses some dead pairs, which
+    the shortcuts built on it allow.  Pair sets are bitmasks;
+    ``bit[c][y]`` is the one-pair image ``1 << step[c][y]``, and
+    ``step_set`` ORs those over a set, one pair at a time (the spaces
+    synthesis meets hold tens of pairs).  Only ``escape_possible`` reads
+    or writes its cache of answers per mask.
     """
 
     def __init__(self, target: Dfa, other: Dfa):
@@ -93,26 +97,12 @@ class _PairSpace:
         self.width = width = len(target.alphabet)
         self.step = [[rows[y][c] for y in range(len(pairs))] for c in range(width)]
         self.bit = [[1 << t for t in row] for row in self.step]
-        # target states with a nonempty language, backward from the accepting ones
-        sources: list[list[int]] = [[] for _ in target.delta]
-        for q, row in enumerate(target.delta):
-            for t in row:
-                sources[t].append(q)
-        alive = set(target.accepting)
-        stack = list(alive)
-        while stack:
-            for q in sources[stack.pop()]:
-                if q not in alive:
-                    alive.add(q)
-                    stack.append(q)
-        self.bad = 0
-        self.goal = 0
-        self.doomed = 0
+        self.bad = self.goal = self.doomed = 0
         for y, (t, x) in enumerate(pairs):
-            if t not in alive:
-                self.doomed |= 1 << y
             if t not in target.accepting:
                 self.bad |= 1 << y
+                if all(u == t for u in target.delta[t]):  # the rejecting sink
+                    self.doomed |= 1 << y
             elif x not in other.accepting:
                 self.goal |= 1 << y
         self._escape_cache: dict[int, bool] = {}
@@ -414,7 +404,7 @@ def synth_min_distinguishing(a1: Dfa, a2: Dfa, k_max: int) -> SynthOutcome:
 
     Tries k = 1..k_max, first with a1 as the inclusion target, then a2;
     the first hit is minimal in k with ties broken toward a1.  Equal
-    languages simply exhaust the budget.  The returned DFA is minimized
+    languages return at once, with the whole budget as the bound.  The returned DFA is minimized
     and defensively re-checked.
     """
     _require_same_alphabet(a1, a2)
@@ -428,6 +418,8 @@ def synth_min_distinguishing(a1: Dfa, a2: Dfa, k_max: int) -> SynthOutcome:
         # subset of it can escape; skip the orientation outright
         if space.goal:
             prepared.append((orientation, space))
+    if not prepared:  # equal languages: no budget can help
+        return SynthOutcome(None, None, k_max)
     for k in range(1, k_max + 1):
         for orientation, space in prepared:
             candidate = _search_feasible(a1.alphabet, k, space)

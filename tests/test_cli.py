@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,28 @@ def test_synth_identical_inputs_none(workdir, capsys):
         capsys, "synth", workdir / "example_a.dfa", workdir / "example_a.dfa", "--max-k", "3"
     )
     assert code == 1 and out == "none\n"
+
+
+def test_synth_equal_languages_huge_budget_returns_at_once(workdir, capsys):
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "synth", workdir / "example_a.dfa", workdir / "example_a.dfa",
+        "--max-k", str(10**8),
+    )
+    assert time.perf_counter() - start < 0.5
+    assert code == 1 and out == "none\n"
+
+
+def test_synth_emit_failure_prints_no_result(workdir, capsys):
+    # the file is written before the result line, so a failed write
+    # leaves stdout empty and reports one error
+    code, out, err = run(
+        capsys, "synth", workdir / "example_a.dfa", workdir / "example_b.dfa",
+        "--max-k", "2", "--emit", workdir / "missing" / "x.dfa",
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_synth_requires_max_k(workdir, capsys):

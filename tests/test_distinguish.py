@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import random
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -176,21 +177,36 @@ def small_dfa(draw):
     return Dfa("ab", delta, draw(st.integers(0, n - 1)), accepting)
 
 
+def dead_pairs(target, other):
+    """Mask of the (t, x) pairs whose target state can reach no
+    accepting state, by the forward-search reference."""
+    dead = dead_states(target)
+    return sum(1 << y for y, (t, _) in enumerate(_pair_search(target, other)[0]) if t in dead)
+
+
 @given(small_dfa(), small_dfa(), st.data())
 def test_escape_possible_matches_plain_subset_search(target, other, data):
-    space = _PairSpace(target, other)
-    pairs = _pair_search(target, other)[0]
-    dead = dead_states(target)
-    assert space.doomed == sum(1 << y for y, (t, _) in enumerate(pairs) if t in dead)
-    # several masks on one space, so later ones also read the cache
-    masks = data.draw(st.lists(st.integers(0, (1 << len(pairs)) - 1), max_size=8))
-    for mask in masks:
-        pair_set = frozenset(p for y, p in enumerate(pairs) if mask >> y & 1)
-        assert space.escape_possible(mask) == escape_reference(target, other, pair_set)
-        for c in range(space.width):
-            image = {(target.delta[t][c], other.delta[x][c]) for t, x in pair_set}
-            assert space.step_set(c, mask) == sum(1 << pairs.index(p) for p in image)
-    assert not any(key & space.doomed for key in space._escape_cache)
+    # on the minimized target the sink rule dooms every dead pair; on the
+    # raw one it may miss some, and the answers stay exact either way
+    for minimized in (False, True):
+        if minimized:
+            target = target.minimize()
+        space = _PairSpace(target, other)
+        pairs = _pair_search(target, other)[0]
+        dead = dead_pairs(target, other)
+        if minimized:
+            assert space.doomed == dead
+        else:
+            assert space.doomed & ~dead == 0
+        # several masks on one space, so later ones also read the cache
+        masks = data.draw(st.lists(st.integers(0, (1 << len(pairs)) - 1), max_size=8))
+        for mask in masks:
+            pair_set = frozenset(p for y, p in enumerate(pairs) if mask >> y & 1)
+            assert space.escape_possible(mask) == escape_reference(target, other, pair_set)
+            for c in range(space.width):
+                image = {(target.delta[t][c], other.delta[x][c]) for t, x in pair_set}
+                assert space.step_set(c, mask) == sum(1 << pairs.index(p) for p in image)
+        assert not any(key & space.doomed for key in space._escape_cache)
 
 
 # ---------------------------------------------------------------------
@@ -228,6 +244,16 @@ def test_synth_equal_languages_none(example_a):
     assert outcome.dfa is None and outcome.orientation is None
     assert outcome.bound == 4
     # both orientations are skipped before any search
+    assert outcome.nodes == 0
+
+
+def test_synth_equal_languages_return_at_once(example_a):
+    # no orientation has a goal pair, so no budget is walked
+    start = time.perf_counter()
+    outcome = synth_min_distinguishing(example_a, example_a, 10**8)
+    assert time.perf_counter() - start < 0.5
+    assert not outcome.found
+    assert outcome.bound == 10**8
     assert outcome.nodes == 0
 
 
@@ -339,24 +365,42 @@ def test_synth_refutes_three_variable_contradiction_in_pinned_nodes():
     assert outcome.nodes == 12345
 
 
-def test_synth_caches_no_doomed_pair_set(monkeypatch):
+@pytest.fixture
+def built_spaces(monkeypatch):
+    """Records every pair space synthesis builds, with its target."""
+    built = []
+
+    def recording(target, other):
+        built.append((_PairSpace(target, other), target, other))
+        return built[-1][0]
+
+    monkeypatch.setattr(distinguish, "_PairSpace", recording)
+    return built
+
+
+def test_synth_caches_no_doomed_pair_set(built_spaces):
     # a pair set holding a doomed pair is refused before the escape
     # cache, which keeps the reduction's caches small: 37 entries on
     # 3-var [(1,2,3),(-1,-2)]
-    spaces = []
-
-    def recording(target, other):
-        spaces.append(_PairSpace(target, other))
-        return spaces[-1]
-
-    monkeypatch.setattr(distinguish, "_PairSpace", recording)
     for a1, a2, budget in battery_cases():
-        spaces.clear()
+        built_spaces.clear()
         synth_min_distinguishing(a1, a2, budget)
-        assert not any(key & s.doomed for s in spaces for key in s._escape_cache)
+        assert not any(key & s.doomed for s, _, _ in built_spaces for key in s._escape_cache)
     # the spaces left are those of the battery's last formula
     assert battery_formulas()[-1] == CnfFormula(3, [(1, 2, 3), (-1, -2)])
-    assert sum(len(s._escape_cache) for s in spaces) < 100
+    assert sum(len(s._escape_cache) for s, _, _ in built_spaces) < 100
+
+
+def test_synth_spaces_doom_exactly_the_dead_pairs(built_spaces):
+    # synthesis minimizes its inputs, so the rejecting-sink rule finds
+    # every pair whose target state can reach no accepting state
+    cases = list(battery_cases())
+    cases += [(a, b, 4) for a, b in random_pair_battery() + hard_pair_battery()]
+    for a1, a2, budget in cases:
+        synth_min_distinguishing(a1, a2, budget)
+    assert len(built_spaces) == 2 * len(cases)
+    assert all(s.doomed == dead_pairs(t, o) for s, t, o in built_spaces)
+    assert sum(s.doomed != 0 for s, _, _ in built_spaces) > len(cases)
 
 
 def test_synth_battery_answers_and_nodes_are_pinned():
