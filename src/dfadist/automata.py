@@ -236,21 +236,26 @@ def _pair_search(
     """BFS over the state pairs that ``a`` and ``b`` reach together.
 
     Successors go in alphabet order and pairs are numbered in discovery
-    order from the initial pair.  Returns at the first discovered pair
-    satisfying ``stop``, with ``(pairs, rows of the expanded pairs,
-    word)``; the word reaches that pair (None without a hit) and is the
-    first such word in length-lexicographic order.
+    order from the initial pair.  Returns at the first pair satisfying
+    ``stop``, tested as it is expanded, with ``(pairs, rows of the
+    expanded pairs, word)``: the word reaches that pair (None without a
+    hit) and is the first such word in length-lexicographic order, and
+    ``pairs`` may hold pairs discovered past it.
     """
     _require_same_alphabet(a, b)
     width = len(a.alphabet)
     start = (a.initial, b.initial)
-    if stop is not None and stop(*start):
-        return [start], [], ""
     index = {start: 0}
     pairs = [start]
     parent = [0]  # parent number * width + symbol index; unused for pair 0
     rows = []
     for i, (s, t) in enumerate(pairs):
+        if stop is not None and stop(s, t):
+            letters = []
+            while i:
+                i, c = divmod(parent[i], width)
+                letters.append(a.alphabet.symbols[c])
+            return pairs, rows, "".join(reversed(letters))
         arow, brow = a.delta[s], b.delta[t]
         row = []
         for c in range(width):
@@ -260,12 +265,6 @@ def _pair_search(
                 j = index[np] = len(pairs)
                 pairs.append(np)
                 parent.append(i * width + c)
-                if stop is not None and stop(*np):
-                    letters = []
-                    while j:
-                        j, c = divmod(parent[j], width)
-                        letters.append(a.alphabet.symbols[c])
-                    return pairs, rows, "".join(reversed(letters))
             row.append(j)
         rows.append(row)
     return pairs, rows, None
@@ -400,9 +399,7 @@ def parse_dfa(text: str) -> Dfa:
     if extra is not None:
         lineno, tokens = extra
         raise DfaParseError(f"unexpected content {' '.join(tokens)!r} after last row", lineno)
-    missing = [q for q in range(m) if q not in rows]
-    if missing:
-        raise DfaParseError(f"missing row for state {missing[0]}")
+    # no row is missing: m rows were read, each for a distinct state in [0, m)
     return Dfa(alphabet, [rows[q] for q in range(m)], initial, accepting)
 
 

@@ -130,8 +130,8 @@ class _PairSpace:
         inside the accepting state's pair set (so it is bad-free) and
         holds the witness's goal pair.
 
-        A set meeting ``doomed`` is refused at once, and the search
-        neither expands nor caches such an image.
+        A set meeting ``doomed`` is refused at once; the breadth-first
+        search (one growing list) never expands or caches such an image.
         """
         doomed = self.doomed
         if mask & doomed:
@@ -141,25 +141,22 @@ class _PairSpace:
         if cached is not None:
             return cached
         seen = {mask}
-        frontier = [mask]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                if m & self.goal and not m & self.bad:
+        order = [mask]
+        for m in order:
+            if m & self.goal and not m & self.bad:
+                cache[mask] = True
+                return True
+            for c in range(self.width):
+                image = self.step_set(c, m)
+                if image & doomed or image in seen:
+                    continue
+                known = cache.get(image)
+                if known:
                     cache[mask] = True
                     return True
-                for c in range(self.width):
-                    image = self.step_set(c, m)
-                    if image & doomed or image in seen:
-                        continue
-                    known = cache.get(image)
-                    if known:
-                        cache[mask] = True
-                        return True
-                    seen.add(image)
-                    if known is None:  # a known dead end is not expanded
-                        nxt.append(image)
-            frontier = nxt
+                seen.add(image)
+                if known is None:  # a known dead end is not expanded
+                    order.append(image)
         for m in seen:
             cache[m] = False
         return False
@@ -186,34 +183,22 @@ def _cycle_candidate(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
 
     Such loops (``_loop_dfa``: one state per position of a word of k-1
     letters, plus a sink) are the natural shape of minimal distinguishers
-    here, so the words are tried in lexicographic order before the
-    general search; every hit is verified against the pair space, which
-    keeps this sound.  Shorter loops are not tried: synthesis raises the
-    budget one state at a time, so on the same space each of them already
-    failed at a lower budget.  At k = 1 there is no loop.
+    here, so they are tried in lexicographic order before the search.
+    Only state 0 accepts, after whole copies of the word, so its pair set
+    is the orbit of pair 0 under the word: it must meet ``goal`` and avoid
+    ``bad``.  Shorter loops failed at lower budgets on this space.  At
+    k = 1 there is no loop: the empty word's loop is the universal DFA.
     """
     if k == 1:
         return None
-    length = k - 1
-    for word in itertools.product(range(space.width), repeat=length):
-        # follow the cycle in the pair space; every visited pair must
-        # stay safe and some accepted iterate must hit a goal pair
-        state_masks = [0] * length
-        y = 0
-        pos = 0
-        ok = True
-        hit = False
-        while not state_masks[pos] >> y & 1:
-            state_masks[pos] |= 1 << y
-            if pos == 0:
-                if 1 << y & space.bad:
-                    ok = False
-                    break
-                if 1 << y & space.goal:
-                    hit = True
-            y = space.step[word[pos]][y]
-            pos = (pos + 1) % length
-        if ok and hit:
+    step, goal, bad = space.step, space.goal, space.bad
+    for word in itertools.product(range(space.width), repeat=k - 1):
+        orbit = y = 0
+        while not orbit >> y & 1:
+            orbit |= 1 << y
+            for c in word:
+                y = step[c][y]
+        if orbit & goal and not orbit & bad:
             return _loop_dfa(alphabet, "".join(alphabet.symbols[c] for c in word))
     return None
 

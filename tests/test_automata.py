@@ -80,9 +80,13 @@ def test_alphabet_rejects_bad_symbols():
 def test_alphabet_order_is_significant():
     assert Alphabet("01#") != Alphabet("0#1")
     assert Alphabet("ab").index("b") == 1
+    with pytest.raises(AlphabetError):
+        Alphabet("ab").index("c")
 
 
 def test_dfa_requires_total_in_range_table():
+    with pytest.raises(AutomataError):
+        Dfa("a", [], 0, ())  # no state
     with pytest.raises(AutomataError):
         Dfa("ab", [(0,)], 0, set())  # row too short
     with pytest.raises(AutomataError):
@@ -168,6 +172,10 @@ def test_parse_comments_and_blank_lines():
         ("dfa v1\nalphabet a\nstates 3\ninitial 0\naccepting\nrow 0 7\n", 6),
         ("dfa v1\nalphabet ab\nstates 1\ninitial 0\naccepting\nrow 0 0\n", 6),
         ("dfa v1\nalphabet a\nstates 2\ninitial 0\naccepting\nrow 0 1\nrow 0 0\n", 7),
+        ("dfa v1\nalphabet a\nstates 1\nstart 0\n", 4),
+        ("dfa v1\nalphabet a\nstates 1\ninitial 0\nfinal 0\n", 5),
+        ("dfa v1\nalphabet a\nstates 1\ninitial 0\naccepting\nedge 0 0\n", 6),
+        ("dfa v1\nalphabet a\nstates 1\ninitial 0\naccepting\nrow 1 0\n", 6),
     ],
 )
 def test_parse_errors_name_the_line(text, line):

@@ -311,6 +311,19 @@ def test_failed_recheck_exits_two(workdir, capsys, monkeypatch):
     assert err.startswith("error: solver model failed the clause re-check")
 
 
+def test_failed_synth_recheck_exits_two(workdir, capsys, monkeypatch):
+    # synthesis raises RuntimeError when its candidate fails the re-check;
+    # the CLI reports it in one line and prints no result
+    monkeypatch.setattr("dfadist.distinguish.is_distinguishing", lambda dfa, a1, a2: False)
+    code, out, err = run(
+        capsys, "synth", workdir / "example_a.dfa", workdir / "example_b.dfa", "--max-k", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: synthesized candidate failed the distinguishing re-check")
+
+
 def test_failed_witness_recheck_exits_two(workdir, capsys, monkeypatch):
     # a witness accepting nothing distinguishes nothing; verify_lemma's
     # re-check raises instead of printing a CONSISTENT verdict

@@ -23,6 +23,7 @@ from dfadist.distinguish import (
     SynthOutcome,
     _PairSpace,
     _cycle_candidate,
+    _loop_dfa,
     _search_feasible,
     is_distinguishing,
     shortest_distinguishing_word,
@@ -230,6 +231,24 @@ def test_cycle_candidate_tries_only_k_state_loops():
     assert sizes == [None, None, 3, 4]
 
 
+def test_cycle_candidate_matches_loop_semantics():
+    # the pre-pass returns the loop of the first word of k-1 letters, in
+    # product order, whose loop language fits the target and escapes the
+    # other automaton, judged by plain inclusion checks
+    for a, b in random_pair_battery() + hard_pair_battery():
+        for target, other in ((a.minimize(), b.minimize()), (b.minimize(), a.minimize())):
+            space = _PairSpace(target, other)
+            for k in range(1, 5):
+                expected = None
+                if k > 1:
+                    for letters in itertools.product(target.alphabet.symbols, repeat=k - 1):
+                        loop = _loop_dfa(target.alphabet, "".join(letters))
+                        if is_subset(loop, target) and not is_subset(loop, other):
+                            expected = loop
+                            break
+                assert _cycle_candidate(target.alphabet, k, space) == expected
+
+
 def test_synth_example_pair_two_states(example_a, example_b):
     outcome = synth_min_distinguishing(example_a, example_b, 8)
     assert outcome.found
@@ -279,6 +298,13 @@ def test_synth_minimality_against_brute_force(rng):
         outcome = synth_min_distinguishing(a, b, 3)
         if outcome.found and outcome.bound > 1:
             assert not brute_force_min_distinguishing(a, b, outcome.bound - 1).found
+
+
+def test_synth_failed_recheck_raises(example_a, example_b, monkeypatch):
+    # a candidate that fails the independent re-check is never returned
+    monkeypatch.setattr(distinguish, "is_distinguishing", lambda dfa, a1, a2: False)
+    with pytest.raises(RuntimeError, match="distinguishing re-check"):
+        synth_min_distinguishing(example_a, example_b, 2)
 
 
 def test_synth_rejects_zero_budget(example_a, example_b):
