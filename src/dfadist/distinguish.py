@@ -42,8 +42,8 @@ class SynthOutcome:
 
     ``bound`` is the state budget that produced the result: the
     successful k, or the exhausted maximum.  ``nodes`` counts the search
-    nodes entered (partial tables tried) over all k and orientations;
-    it does not take part in equality.
+    nodes entered (partial tables tried) over all k and orientations
+    (budget 1 needs no search); it does not take part in equality.
     """
 
     dfa: Dfa | None
@@ -186,12 +186,12 @@ def _cycle_candidate(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
     here, so they are tried in lexicographic order before the search.
     Only state 0 accepts, after whole copies of the word, so its pair set
     is the orbit of pair 0 under the word: it must meet ``goal`` and avoid
-    ``bad``.  Shorter loops failed at lower budgets on this space.  At
-    k = 1 there is no loop: the empty word's loop is the universal DFA.
+    ``bad``.  Shorter loops failed at lower budgets.  At k = 1 the only
+    loop is the empty word's, the universal DFA; its pair set is the space.
     """
-    if k == 1:
-        return None
     step, goal, bad = space.step, space.goal, space.bad
+    if k == 1:
+        return _loop_dfa(alphabet, "") if goal and not bad else None
     for word in itertools.product(range(space.width), repeat=k - 1):
         orbit = y = 0
         while not orbit >> y & 1:
@@ -219,13 +219,13 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
     only drops subtrees without a solution, so the first table found is
     the one an unpruned search would find.
 
-    The search runs only when ``_cycle_candidate`` finds no k-state loop.
-    Either way the answer is complete for k states; which DFA comes back
-    assumes, as in ``synth_min_distinguishing``, that the lower budgets
-    on this space were tried first.
+    The search runs only when ``_cycle_candidate`` finds no k-state loop,
+    and never at k = 1, whose only candidate is that loop.  Either way the
+    answer is complete for k states; which DFA comes back assumes, as in
+    ``synth_min_distinguishing``, that lower budgets were tried first.
     """
     looped = _cycle_candidate(alphabet, k, space)
-    if looped is not None:
+    if looped is not None or k == 1:
         return looped
     width = space.width
     tau = [1 << 0]  # pair sets per used candidate state; pair 0 is initial
@@ -304,12 +304,10 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
         pair set holds a doomed pair is skipped outright: no mask built
         on it is bad-free or escapes.
 
-        The first check, for a state that is already a witness, stays:
-        it is the only one that sees a witness through the empty word,
-        as the configuration search never tests (0, 0) as a goal.
+        (0, 0) is never tested as a goal: a goal pair 0 closes the table
+        at the root in ``finish``, as k >= 2 here; any other witness state
+        lies at the end of a nonempty word over assigned cells.
         """
-        if any(m & goal and not m & bad for m in tau):
-            return True  # finish() closes the table
         if not escape_possible(tau[0]):
             return False
         used = len(tau)

@@ -240,12 +240,12 @@ def test_cycle_candidate_matches_loop_semantics():
             space = _PairSpace(target, other)
             for k in range(1, 5):
                 expected = None
-                if k > 1:
-                    for letters in itertools.product(target.alphabet.symbols, repeat=k - 1):
-                        loop = _loop_dfa(target.alphabet, "".join(letters))
-                        if is_subset(loop, target) and not is_subset(loop, other):
-                            expected = loop
-                            break
+                # at k = 1 the only word is the empty one: the universal DFA
+                for letters in itertools.product(target.alphabet.symbols, repeat=k - 1):
+                    loop = _loop_dfa(target.alphabet, "".join(letters))
+                    if is_subset(loop, target) and not is_subset(loop, other):
+                        expected = loop
+                        break
                 assert _cycle_candidate(target.alphabet, k, space) == expected
 
 
@@ -351,14 +351,15 @@ def test_synth_agrees_with_brute_force_over_three_symbols():
 
 
 def test_synth_counts_search_nodes():
-    # refuting every k <= 4 for the two-variable contradiction; pruning
-    # on the initial state's pair set alone takes 123,152 nodes
+    # refuting every k <= 4 for the two-variable contradiction (k = 1 by
+    # rule, with no search); pruning on the initial state's pair set alone
+    # takes 123,152 nodes
     formula = CnfFormula(2, [(1,), (-1,)])
     lower = build_lower_dfa(formula.var_count, formula.clause_count)
     upper = build_upper_dfa(formula, lower)
     outcome = synth_min_distinguishing(upper, lower, 4)
     assert not outcome.found
-    assert outcome.nodes == 123
+    assert outcome.nodes == 122
     # the count takes no part in equality
     assert outcome == SynthOutcome(None, None, 4)
 
@@ -388,7 +389,53 @@ def test_synth_refutes_three_variable_contradiction_in_pinned_nodes():
     lower = build_lower_dfa(formula.var_count, formula.clause_count)
     outcome = synth_min_distinguishing(build_upper_dfa(formula, lower), lower, 5)
     assert not outcome.found
-    assert outcome.nodes == 12345
+    assert outcome.nodes == 12344
+
+
+def test_synth_nodes_per_budget_are_pinned():
+    # each k's tree on its own, not just the sum: budget 1 is answered
+    # by rule, and k = 2..5 refute the 3-var contradiction's first orientation
+    formula = CnfFormula(3, [(1,), (-1,)])
+    lower = build_lower_dfa(formula.var_count, formula.clause_count)
+    upper = build_upper_dfa(formula, lower)
+    space = _PairSpace(upper.minimize(), lower.minimize())
+    added = []
+    for k in range(1, 6):
+        before = space.nodes
+        assert _search_feasible(upper.alphabet, k, space) is None
+        added.append(space.nodes - before)
+    assert added == [0, 1, 5, 116, 12222]
+
+
+def test_synth_budget_one_is_answered_by_rule():
+    # a one-state DFA accepts nothing or everything, so budget 1 needs
+    # no search: the universal DFA, when it distinguishes, or nothing
+    found = 0
+    for a, b in random_pair_battery() + hard_pair_battery():
+        outcome = synth_min_distinguishing(a, b, 1)
+        assert outcome.nodes == 0
+        assert outcome.found == brute_force_min_distinguishing(a, b, 1).found
+        if outcome.found:
+            assert outcome.dfa == _loop_dfa(a.alphabet, "")
+            found += 1
+    assert found > 0
+
+
+def test_synth_budget_one_is_fast_on_large_random_pairs():
+    # budget 1 is one test, not a search of the pair space: the 50-state
+    # pair of rnd(n) (random rows and accepting set, initial state 0, one
+    # random.Random(3) drawing n = 20 then 50) spans 947 pairs
+    rng = random.Random(3)
+
+    def rnd(n):
+        delta = [tuple(rng.randrange(n) for _ in "ab") for _ in range(n)]
+        return Dfa("ab", delta, 0, {q for q in range(n) if rng.random() < 0.5})
+
+    _, _, a, b = (rnd(n) for n in (20, 20, 50, 50))
+    start = time.perf_counter()
+    outcome = synth_min_distinguishing(a, b, 1)
+    assert time.perf_counter() - start < 0.5
+    assert not outcome.found and outcome.nodes == 0
 
 
 @pytest.fixture
@@ -432,19 +479,19 @@ def test_synth_spaces_doom_exactly_the_dead_pairs(built_spaces):
 def test_synth_battery_answers_and_nodes_are_pinned():
     # a change to the search's internals must keep its decisions: the
     # same first table per formula, found after the same number of nodes
-    assert answers_and_nodes(battery_cases()) == ("552671ddb4160c5c", 1422)
+    assert answers_and_nodes(battery_cases()) == ("552671ddb4160c5c", 1339)
 
 
 def test_synth_random_pair_answers_and_nodes_are_pinned():
     cases = [(a, b, 4) for a, b in random_pair_battery()]
-    assert answers_and_nodes(cases) == ("f4d32e6f94167489", 639)
+    assert answers_and_nodes(cases) == ("f4d32e6f94167489", 369)
 
 
 def test_synth_hard_pair_answers_and_nodes_are_pinned():
     # every pair needs three or four states, so the search refutes k = 2
     # (and, for two pairs, k = 3) over the reduction's alphabet
     cases = [(a, b, 4) for a, b in hard_pair_battery()]
-    assert answers_and_nodes(cases) == ("5cab2a319d57a3ed", 3150)
+    assert answers_and_nodes(cases) == ("5cab2a319d57a3ed", 3099)
 
 
 def test_synth_leaves_no_cyclic_garbage():
@@ -481,7 +528,7 @@ def test_synth_depth_needs_no_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert report.min_distinguishing_k == 6
-    assert report.synth.nodes == 12345
+    assert report.synth.nodes == 12344
 
 
 def test_synth_sees_a_witness_through_the_empty_word():
