@@ -42,8 +42,9 @@ class SynthOutcome:
 
     ``bound`` is the state budget that produced the result: the
     successful k, or the exhausted maximum.  ``nodes`` counts the search
-    nodes entered (partial tables tried) over all k and orientations
-    (budget 1 needs no search); it does not take part in equality.
+    nodes entered (partial tables tried) over the budgets tried and both
+    orientations (budget 1 needs no search); it does not take part in
+    equality.
     """
 
     dfa: Dfa | None
@@ -186,7 +187,8 @@ def _cycle_candidate(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
     here, so they are tried in lexicographic order before the search.
     Only state 0 accepts, after whole copies of the word, so its pair set
     is the orbit of pair 0 under the word: it must meet ``goal`` and avoid
-    ``bad``.  Shorter loops failed at lower budgets.  At k = 1 the only
+    ``bad``.  Shorter loops failed at lower budgets, or those budgets
+    were ruled out by the caller's ``k_min``.  At k = 1 the only
     loop is the empty word's, the universal DFA; its pair set is the space.
     """
     step, goal, bad = space.step, space.goal, space.bad
@@ -222,7 +224,8 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
     The search runs only when ``_cycle_candidate`` finds no k-state loop,
     and never at k = 1, whose only candidate is that loop.  Either way the
     answer is complete for k states; which DFA comes back assumes, as in
-    ``synth_min_distinguishing``, that lower budgets were tried first.
+    ``synth_min_distinguishing``, that lower budgets were tried first or
+    ruled out by the caller's ``k_min``.
     """
     looped = _cycle_candidate(alphabet, k, space)
     if looped is not None or k == 1:
@@ -382,17 +385,24 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
             return None
 
 
-def synth_min_distinguishing(a1: Dfa, a2: Dfa, k_max: int) -> SynthOutcome:
+def synth_min_distinguishing(a1: Dfa, a2: Dfa, k_max: int, k_min: int = 1) -> SynthOutcome:
     """Smallest distinguishing DFA within the state budget.
 
-    Tries k = 1..k_max, first with a1 as the inclusion target, then a2;
-    the first hit is minimal in k with ties broken toward a1.  Equal
-    languages return at once, with the whole budget as the bound.  The returned DFA is minimized
-    and defensively re-checked.
+    Tries k = k_min..k_max, first with a1 as the inclusion target, then
+    a2; the first hit is minimal in k with ties broken toward a1.
+    ``k_min`` is a lower bound the caller has proven: no distinguisher
+    of the pair has fewer states, so the budgets below it are skipped
+    rather than refuted.  It must satisfy 1 <= k_min <= k_max.  Equal
+    languages return at once, with the whole budget as the bound.  The
+    returned DFA is minimized and defensively re-checked: it must
+    distinguish the pair, and it must have at least ``k_min`` states, or
+    the caller's bound is false.
     """
     _require_same_alphabet(a1, a2)
     if k_max < 1:
         raise ValueError(f"state budget must be positive, got {k_max}")
+    if not 1 <= k_min <= k_max:
+        raise ValueError(f"need 1 <= k_min <= k_max, got k_min={k_min}, k_max={k_max}")
     m1, m2 = a1.minimize(), a2.minimize()
     prepared = []
     for orientation, target, other in ((Orientation.FIRST, m1, m2), (Orientation.SECOND, m2, m1)):
@@ -403,7 +413,7 @@ def synth_min_distinguishing(a1: Dfa, a2: Dfa, k_max: int) -> SynthOutcome:
             prepared.append((orientation, space))
     if not prepared:  # equal languages: no budget can help
         return SynthOutcome(None, None, k_max)
-    for k in range(1, k_max + 1):
+    for k in range(k_min, k_max + 1):
         for orientation, space in prepared:
             candidate = _search_feasible(a1.alphabet, k, space)
             if candidate is None:
@@ -413,6 +423,11 @@ def synth_min_distinguishing(a1: Dfa, a2: Dfa, k_max: int) -> SynthOutcome:
                 raise RuntimeError(
                     "synthesized candidate failed the distinguishing re-check; "
                     "this indicates an encoding bug"
+                )
+            if dfa.state_count < k_min:
+                raise RuntimeError(
+                    f"synthesized distinguisher has {dfa.state_count} states, fewer than "
+                    f"the lower bound k_min={k_min}; the caller's bound is false"
                 )
             return SynthOutcome(dfa, orientation, k, sum(s.nodes for _, s in prepared))
     return SynthOutcome(None, None, k_max, sum(s.nodes for _, s in prepared))

@@ -155,6 +155,12 @@ class LemmaReport:
 
     @property
     def min_distinguishing_k(self) -> int | None:
+        """States of a smallest distinguisher of the pair, None if none fits.
+
+        A proven minimum, though ``verify_lemma`` searches only budget
+        k+2: no distinguisher of the pair has fewer than k+2 states (the
+        proof is in ``verify_lemma``), so a hit there is minimal.
+        """
         return self.synth.bound if self.synth.found else None
 
     def render(self) -> str:
@@ -176,6 +182,21 @@ def verify_lemma(formula: CnfFormula) -> LemmaReport:
     clause, and the explicit witness built from it is additionally
     checked to distinguish the pair; a failed re-check raises
     ``RuntimeError``.
+
+    Only budget k+2 is searched, because every distinguisher D of the
+    pair has at least k+2 states.  Lower is inside upper, so D's
+    language fits inside upper and escapes lower: D accepts some word w
+    of upper outside lower.  Such a w starts with k bits and then ``#``.
+    Let q_0..q_k be D's states after the first 0..k letters of w.  If
+    q_i = q_j for some i < j, D also accepts w with letters i+1..j cut
+    out, whose first block has fewer than k bits before its ``#``: a
+    word of neither language, outside upper.  So q_0..q_k are distinct.
+    Each lies on w's accepting run, so each has a nonempty language,
+    while D's state after ``#`` from q_0 has an empty one (no word of
+    upper starts with ``#``): a (k+2)-th state.  So a distinguisher found
+    at budget k+2 is minimal, and that one search answers the lemma's
+    question; ``synth_min_distinguishing`` re-checks the bound on the
+    DFA it finds.
     """
     k, n = formula.var_count, formula.clause_count
     model = solve(formula)
@@ -190,5 +211,5 @@ def verify_lemma(formula: CnfFormula) -> LemmaReport:
             "witness DFA from the solver model failed the distinguishing re-check; "
             "this indicates a reduction bug"
         )
-    synth = synth_min_distinguishing(upper, lower, k + 2)
+    synth = synth_min_distinguishing(upper, lower, k + 2, k_min=k + 2)
     return LemmaReport(formula=formula, model=model, synth=synth)

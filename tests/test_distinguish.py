@@ -29,7 +29,7 @@ from dfadist.distinguish import (
     shortest_distinguishing_word,
     synth_min_distinguishing,
 )
-from dfadist.reduction import CnfFormula, build_lower_dfa, build_upper_dfa, verify_lemma
+from dfadist.reduction import CnfFormula, build_lower_dfa, build_upper_dfa
 
 from support import (
     all_words,
@@ -314,6 +314,33 @@ def test_synth_rejects_zero_budget(example_a, example_b):
         brute_force_min_distinguishing(example_a, example_b, 0)
 
 
+def test_synth_rejects_a_lower_bound_outside_the_budget(example_a, example_b):
+    for k_min in (0, -1, 4):
+        with pytest.raises(ValueError, match="k_min"):
+            synth_min_distinguishing(example_a, example_b, 3, k_min=k_min)
+
+
+def test_synth_lower_bound_skips_the_budgets_below_it():
+    # the 3-var contradiction's full search takes 1 + 5 + 116 nodes below
+    # budget 5 (pinned per budget below); k_min = 5 enters none of them
+    formula = CnfFormula(3, [(1,), (-1,)])
+    lower = build_lower_dfa(formula.var_count, formula.clause_count)
+    outcome = synth_min_distinguishing(build_upper_dfa(formula, lower), lower, 5, k_min=5)
+    assert outcome == SynthOutcome(None, None, 5)
+    assert outcome.nodes == 12222
+
+
+def test_synth_catches_a_false_lower_bound(example_a, example_b, odd_length, monkeypatch):
+    # the example pair has a two-state distinguisher, so k_min = 3 is
+    # false; the three-state loop the search finds minimizes to two states
+    with pytest.raises(RuntimeError, match="fewer than the lower bound k_min=3"):
+        synth_min_distinguishing(example_a, example_b, 3, k_min=3)
+    # a candidate smaller than k_min is refused even when it distinguishes
+    monkeypatch.setattr(distinguish, "_search_feasible", lambda alphabet, k, space: odd_length)
+    with pytest.raises(RuntimeError, match="fewer than the lower bound k_min=3"):
+        synth_min_distinguishing(example_a, example_b, 4, k_min=3)
+
+
 def test_synth_agrees_with_brute_force_on_thirty_pairs(rng):
     checked = 0
     while checked < 30:
@@ -511,9 +538,13 @@ def test_synth_leaves_no_cyclic_garbage():
 
 def test_synth_depth_needs_no_recursion():
     # a recursive search takes a frame per filled cell; the loop's stack
-    # depth does not grow with the tree, so 4-var [(4,)] runs a dozen
+    # depth does not grow with the tree, so the full-range search on
+    # 4-var [(4,)] (verify_lemma would skip budgets 1..5) runs a dozen
     # levels above its caller.  The depth is the one the interpreter
     # counts (C calls included): the lowest limit it accepts here, minus 1.
+    formula = CnfFormula(4, [(4,)])
+    lower = build_lower_dfa(formula.var_count, formula.clause_count)
+    upper = build_upper_dfa(formula, lower)
     limit = sys.getrecursionlimit()
     depth = 1
     while True:
@@ -524,11 +555,11 @@ def test_synth_depth_needs_no_recursion():
             depth += 1
     try:
         sys.setrecursionlimit(depth + 12)
-        report = verify_lemma(CnfFormula(4, [(4,)]))
+        outcome = synth_min_distinguishing(upper, lower, 6)
     finally:
         sys.setrecursionlimit(limit)
-    assert report.min_distinguishing_k == 6
-    assert report.synth.nodes == 12344
+    assert outcome.bound == 6
+    assert outcome.nodes == 12344
 
 
 def test_synth_sees_a_witness_through_the_empty_word():

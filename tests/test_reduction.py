@@ -1,10 +1,16 @@
 import itertools
+import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dfadist import automata, reduction
 from dfadist.automata import Dfa, is_equivalent, is_subset
-from dfadist.distinguish import is_distinguishing, shortest_distinguishing_word
+from dfadist.distinguish import (
+    is_distinguishing,
+    shortest_distinguishing_word,
+    synth_min_distinguishing,
+)
 from dfadist.reduction import (
     CnfFormula,
     FormulaError,
@@ -18,9 +24,11 @@ from dfadist.satsolve import CnfInstance, evaluate, solve
 
 from support import (
     all_words,
+    battery_formulas,
     brute_force_min_distinguishing,
     in_lower_language,
     in_upper_language,
+    truth_table_satisfiable,
 )
 
 
@@ -331,3 +339,72 @@ def test_report_render_format_unsatisfiable():
     assert report.render() == (
         "sat: no\nmin_distinguishing_k: none\nbound: k+2 = 3\nverdict: CONSISTENT\n"
     )
+
+
+# ---------------------------------------------------------------------
+# the k+2 lower bound: verify_lemma searches budget k+2 alone
+# ---------------------------------------------------------------------
+
+def reduction_pair(formula):
+    lower = build_lower_dfa(formula.var_count, formula.clause_count)
+    return build_upper_dfa(formula, lower), lower
+
+
+def test_verify_lemma_matches_the_full_range_search():
+    # skipping budgets 1..k+1 changes no answer: same DFA, orientation,
+    # bound; the battery takes 381 nodes instead of the full range's 1,339
+    nodes = 0
+    for formula in battery_formulas():
+        upper, lower = reduction_pair(formula)
+        synth = verify_lemma(formula).synth
+        assert synth == synth_min_distinguishing(upper, lower, formula.var_count + 2)
+        nodes += synth.nodes
+    assert nodes == 381
+
+
+def test_brute_force_refutes_budget_k_plus_one():
+    # the exhaustive oracle finds no distinguisher below k+2 on the
+    # one-variable battery formulas and on two two-variable ones (all
+    # 72 two-variable formulas would take about 45 s)
+    formulas = [f for f in battery_formulas() if f.var_count == 1]
+    formulas += [CnfFormula(2, [(1, 2), (-1, -2)]), CnfFormula(2, [(-2,)])]
+    for formula in formulas:
+        upper, lower = reduction_pair(formula)
+        assert not brute_force_min_distinguishing(upper, lower, formula.var_count + 1).found
+
+
+def random_formulas(max_vars=3, max_clauses=2):
+    def over(k):
+        literal = st.builds(lambda v, sign: v * sign, st.integers(1, k), st.sampled_from((1, -1)))
+        clauses = st.lists(st.lists(literal, min_size=1, max_size=k), min_size=1, max_size=max_clauses)
+        return clauses.map(lambda cs: CnfFormula(k, cs))
+
+    return st.integers(1, max_vars).flatmap(over)
+
+
+@given(random_formulas())
+def test_found_distinguishers_have_exactly_k_plus_two_states(formula):
+    # the full-range search, which refutes every budget below k+2 itself
+    upper, lower = reduction_pair(formula)
+    k = formula.var_count
+    outcome = synth_min_distinguishing(upper, lower, k + 2)
+    assert outcome.found == truth_table_satisfiable(k, formula.clauses)
+    if outcome.found:
+        assert outcome.bound == outcome.dfa.state_count == k + 2
+
+
+@pytest.mark.parametrize(
+    "formula, expected",
+    [
+        (CnfFormula(5, [(5,)]), 7),
+        (CnfFormula(8, [(1, -2, 3), (-4, 5, 8), (-1, 6, -7)]), 10),
+    ],
+)
+def test_verify_lemma_large_satisfiable_formula_takes_no_search(formula, expected):
+    # refuting budget 6 alone took 138 s on 5-var [(5,)]
+    started = time.perf_counter()
+    report = verify_lemma(formula)
+    elapsed = time.perf_counter() - started
+    assert report.consistent and report.min_distinguishing_k == expected
+    assert report.synth.nodes == 0
+    assert elapsed < 1.0, f"took {elapsed:.2f}s"
