@@ -15,7 +15,9 @@ construction, so every operation can assume a complete DFA.  Provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from itertools import chain, islice
+from operator import itemgetter
+from typing import Callable, NoReturn
 
 Word = str
 
@@ -312,14 +314,15 @@ def parse_dfa(text: str) -> Dfa:
     ``;`` starts a comment, blank lines are ignored.  Expected lines:
     ``dfa v1``, ``alphabet <symbols>``, ``states <m>``, ``initial <q>``,
     ``accepting [q...]``, then exactly one ``row <q> <targets...>`` line
-    per state.  Any violation raises DfaParseError naming the line.
+    per state, in any order.  Numerals are read by ``int()``.  Any
+    violation raises DfaParseError naming the line; of several faulty
+    lines, the first in the file.
     """
-    content: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split(_COMMENT_CHAR, 1)[0].strip()
-        if stripped:
-            content.append((lineno, stripped.split()))
-
+    raw = text.splitlines()
+    if _COMMENT_CHAR in text:
+        raw = [line.partition(_COMMENT_CHAR)[0] for line in raw]
+    # (line number, tokens) of each line that is not blank once its comment is cut
+    content = list(filter(itemgetter(1), enumerate(map(str.split, raw), start=1)))
     lines = iter(content)
 
     def take(what: str) -> tuple[int, list[str]]:
@@ -327,12 +330,6 @@ def parse_dfa(text: str) -> Dfa:
         if line is None:
             raise DfaParseError(f"unexpected end of input, expected {what}")
         return line
-
-    def parse_int(token: str, lineno: int, what: str) -> int:
-        try:
-            return int(token)
-        except ValueError:
-            raise DfaParseError(f"expected {what}, got {token!r}", lineno) from None
 
     lineno, tokens = take("header 'dfa v1'")
     if tokens != ["dfa", "v1"]:
@@ -349,14 +346,14 @@ def parse_dfa(text: str) -> Dfa:
     lineno, tokens = take("'states <m>'")
     if len(tokens) != 2 or tokens[0] != "states":
         raise DfaParseError("expected 'states <m>'", lineno)
-    m = parse_int(tokens[1], lineno, "state count")
+    m = _parse_int(tokens[1], lineno, "state count")
     if m < 1:
         raise DfaParseError(f"state count must be positive, got {m}", lineno)
 
     lineno, tokens = take("'initial <q>'")
     if len(tokens) != 2 or tokens[0] != "initial":
         raise DfaParseError("expected 'initial <q>'", lineno)
-    initial = parse_int(tokens[1], lineno, "initial state")
+    initial = _parse_int(tokens[1], lineno, "initial state")
     if not 0 <= initial < m:
         raise DfaParseError(f"initial state {initial} outside [0,{m})", lineno)
 
@@ -365,15 +362,73 @@ def parse_dfa(text: str) -> Dfa:
         raise DfaParseError("expected 'accepting [q...]'", lineno)
     accepting = set()
     for token in tokens[1:]:
-        q = parse_int(token, lineno, "accepting state")
+        q = _parse_int(token, lineno, "accepting state")
         if not 0 <= q < m:
             raise DfaParseError(f"accepting state {q} outside [0,{m})", lineno)
         accepting.add(q)
 
-    rows: dict[int, tuple[int, ...]] = {}
+    # at most m lines, so a huge declared m allocates nothing
+    row_lines = list(islice(lines, m))
+    rows = _bulk_rows(row_lines, m, len(alphabet))
+    if rows is None:
+        _raise_row_error(row_lines, m, alphabet)
+    extra = next(lines, None)
+    if extra is not None:
+        lineno, tokens = extra
+        raise DfaParseError(f"unexpected content {' '.join(tokens)!r} after last row", lineno)
+    return Dfa(alphabet, rows, initial, accepting)
+
+
+def _parse_int(token: str, lineno: int, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise DfaParseError(f"expected {what}, got {token!r}", lineno) from None
+
+
+def _bulk_rows(
+    row_lines: list[tuple[int, list[str]]], m: int, width: int
+) -> list[tuple[int, ...]] | None:
+    """The m rows' targets in state order, or None if any row line is faulty.
+
+    Each check runs once over all lines, inside builtins that loop in C.
+    The token count is checked per line: a right total can still hide a
+    row that spills onto the next line.
+    """
+    per_line = list(map(itemgetter(1), row_lines))
+    stride = 2 + width
+    if set(map(len, per_line)) != {stride}:
+        return None
+    tokens = list(chain.from_iterable(per_line))
+    # one keyword per line, so this also asks for exactly m row lines
+    if tokens[::stride].count("row") != m:
+        return None
+    del tokens[::stride]
+    try:
+        numbers = list(map(int, tokens))
+    except ValueError:
+        return None
+    if min(numbers) < 0 or max(numbers) >= m:
+        return None
+    per_row = 1 + width
+    states = numbers[::per_row]
+    rows = list(zip(*(numbers[c::per_row] for c in range(1, per_row))))
+    if states != list(range(m)):
+        by_state = dict(zip(states, rows))
+        if len(by_state) != m:
+            return None
+        rows = list(map(by_state.__getitem__, range(m)))
+    return rows
+
+
+def _raise_row_error(
+    row_lines: list[tuple[int, list[str]]], m: int, alphabet: Alphabet
+) -> NoReturn:
+    """Raise the error of the first faulty row line, checked line by line
+    and token by token; if none is faulty, the input ended too early."""
     width = len(alphabet)
-    for _ in range(m):
-        lineno, tokens = take(f"'row <q> <{width} targets>'")
+    seen = set()
+    for lineno, tokens in row_lines:
         if tokens[0] != "row":
             raise DfaParseError(f"expected 'row ...', got {tokens[0]!r}", lineno)
         if len(tokens) != 2 + width:
@@ -382,25 +437,17 @@ def parse_dfa(text: str) -> Dfa:
                 f"got {len(tokens) - 2}",
                 lineno,
             )
-        q = parse_int(tokens[1], lineno, "row state")
+        q = _parse_int(tokens[1], lineno, "row state")
         if not 0 <= q < m:
             raise DfaParseError(f"row state {q} outside [0,{m})", lineno)
-        if q in rows:
+        if q in seen:
             raise DfaParseError(f"duplicate row for state {q}", lineno)
-        targets = []
+        seen.add(q)
         for token in tokens[2:]:
-            t = parse_int(token, lineno, "row target")
+            t = _parse_int(token, lineno, "row target")
             if not 0 <= t < m:
                 raise DfaParseError(f"row target {t} outside [0,{m})", lineno)
-            targets.append(t)
-        rows[q] = tuple(targets)
-
-    extra = next(lines, None)
-    if extra is not None:
-        lineno, tokens = extra
-        raise DfaParseError(f"unexpected content {' '.join(tokens)!r} after last row", lineno)
-    # no row is missing: m rows were read, each for a distinct state in [0, m)
-    return Dfa(alphabet, [rows[q] for q in range(m)], initial, accepting)
+    raise DfaParseError(f"unexpected end of input, expected 'row <q> <{width} targets>'")
 
 
 def serialize_dfa(dfa: Dfa) -> str:

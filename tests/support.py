@@ -2,7 +2,8 @@
 
 Every oracle here deliberately recomputes its answer by a different
 route than the code under test (exhaustive enumeration, truth tables,
-residual tables, block-by-block word scans), so agreement is meaningful.
+residual tables, block-by-block word scans, a token-by-token parser), so
+agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -10,7 +11,16 @@ from __future__ import annotations
 import itertools
 import random
 
-from dfadist.automata import Dfa, Word, _require_same_alphabet, is_equivalent
+from dfadist.automata import (
+    _COMMENT_CHAR,
+    Alphabet,
+    AlphabetError,
+    Dfa,
+    DfaParseError,
+    Word,
+    _require_same_alphabet,
+    is_equivalent,
+)
 from dfadist.distinguish import Orientation, SynthOutcome
 from dfadist.reduction import CnfFormula
 
@@ -71,6 +81,105 @@ def permuted_copy(dfa: Dfa, rng: random.Random) -> Dfa:
         perm[dfa.initial],
         {perm[q] for q in dfa.accepting},
     )
+
+
+def parse_dfa_reference(text: str) -> Dfa:
+    """The ``.dfa`` parser with every token of every line checked one at a
+    time, in file order: ``parse_dfa``, which checks its rows in bulk,
+    must return the same value or raise the same error.
+
+    ``;`` starts a comment, blank lines are ignored.  Expected lines:
+    ``dfa v1``, ``alphabet <symbols>``, ``states <m>``, ``initial <q>``,
+    ``accepting [q...]``, then exactly one ``row <q> <targets...>`` line
+    per state.  Any violation raises DfaParseError naming the line.
+    """
+    content: list[tuple[int, list[str]]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.split(_COMMENT_CHAR, 1)[0].strip()
+        if stripped:
+            content.append((lineno, stripped.split()))
+
+    lines = iter(content)
+
+    def take(what: str) -> tuple[int, list[str]]:
+        line = next(lines, None)
+        if line is None:
+            raise DfaParseError(f"unexpected end of input, expected {what}")
+        return line
+
+    def parse_int(token: str, lineno: int, what: str) -> int:
+        try:
+            return int(token)
+        except ValueError:
+            raise DfaParseError(f"expected {what}, got {token!r}", lineno) from None
+
+    lineno, tokens = take("header 'dfa v1'")
+    if tokens != ["dfa", "v1"]:
+        raise DfaParseError(f"malformed header {' '.join(tokens)!r}, expected 'dfa v1'", lineno)
+
+    lineno, tokens = take("'alphabet <symbols>'")
+    if len(tokens) != 2 or tokens[0] != "alphabet":
+        raise DfaParseError("expected 'alphabet <symbols>'", lineno)
+    try:
+        alphabet = Alphabet(tokens[1])
+    except AlphabetError as err:
+        raise DfaParseError(str(err), lineno) from None
+
+    lineno, tokens = take("'states <m>'")
+    if len(tokens) != 2 or tokens[0] != "states":
+        raise DfaParseError("expected 'states <m>'", lineno)
+    m = parse_int(tokens[1], lineno, "state count")
+    if m < 1:
+        raise DfaParseError(f"state count must be positive, got {m}", lineno)
+
+    lineno, tokens = take("'initial <q>'")
+    if len(tokens) != 2 or tokens[0] != "initial":
+        raise DfaParseError("expected 'initial <q>'", lineno)
+    initial = parse_int(tokens[1], lineno, "initial state")
+    if not 0 <= initial < m:
+        raise DfaParseError(f"initial state {initial} outside [0,{m})", lineno)
+
+    lineno, tokens = take("'accepting [q...]'")
+    if tokens[0] != "accepting":
+        raise DfaParseError("expected 'accepting [q...]'", lineno)
+    accepting = set()
+    for token in tokens[1:]:
+        q = parse_int(token, lineno, "accepting state")
+        if not 0 <= q < m:
+            raise DfaParseError(f"accepting state {q} outside [0,{m})", lineno)
+        accepting.add(q)
+
+    rows: dict[int, tuple[int, ...]] = {}
+    width = len(alphabet)
+    for _ in range(m):
+        lineno, tokens = take(f"'row <q> <{width} targets>'")
+        if tokens[0] != "row":
+            raise DfaParseError(f"expected 'row ...', got {tokens[0]!r}", lineno)
+        if len(tokens) != 2 + width:
+            raise DfaParseError(
+                f"row needs {width} targets for alphabet {alphabet.symbols!r}, "
+                f"got {len(tokens) - 2}",
+                lineno,
+            )
+        q = parse_int(tokens[1], lineno, "row state")
+        if not 0 <= q < m:
+            raise DfaParseError(f"row state {q} outside [0,{m})", lineno)
+        if q in rows:
+            raise DfaParseError(f"duplicate row for state {q}", lineno)
+        targets = []
+        for token in tokens[2:]:
+            t = parse_int(token, lineno, "row target")
+            if not 0 <= t < m:
+                raise DfaParseError(f"row target {t} outside [0,{m})", lineno)
+            targets.append(t)
+        rows[q] = tuple(targets)
+
+    extra = next(lines, None)
+    if extra is not None:
+        lineno, tokens = extra
+        raise DfaParseError(f"unexpected content {' '.join(tokens)!r} after last row", lineno)
+    # no row is missing: m rows were read, each for a distinct state in [0, m)
+    return Dfa(alphabet, [rows[q] for q in range(m)], initial, accepting)
 
 
 def complement(dfa: Dfa) -> Dfa:

@@ -216,6 +216,28 @@ def test_round_trip_identity(d):
     assert parse_dfa(serialize_dfa(d)) == d
 
 
+def test_parse_large_dfa_in_any_row_order(rng):
+    d = random_dfa(rng, 20_000)
+    lines = serialize_dfa(d).splitlines()
+    assert parse_dfa("\n".join(lines)) == d
+    # rows reversed, with a comment line every 1,000 rows
+    shuffled = lines[:5]
+    for i, row in enumerate(reversed(lines[5:])):
+        if i % 1000 == 0:
+            shuffled.append(f"; row {i}")
+        shuffled.append(row)
+    assert parse_dfa("\n".join(shuffled)) == d
+
+
+def test_parse_huge_state_count_allocates_nothing():
+    # a declared count alone must not size anything: m slots would not fit
+    text = "dfa v1\nalphabet a\nstates 1000000000000\ninitial 0\naccepting\nrow 0 0\n"
+    start = time.perf_counter()
+    with pytest.raises(DfaParseError, match="unexpected end of input"):
+        parse_dfa(text)
+    assert time.perf_counter() - start < 0.1
+
+
 # ---------------------------------------------------------------------
 # product
 # ---------------------------------------------------------------------

@@ -16,11 +16,13 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dfadist.automata import DfaParseError, parse_dfa, serialize_dfa
 from dfadist.cli import main
 from dfadist.satsolve import CnfInstance, DimacsParseError, parse_dimacs
+
+from support import parse_dfa_reference, random_dfa
 
 VALID_DFA = ["dfa v1", "alphabet ab", "states 2", "initial 0", "accepting 1", "row 0 1 0", "row 1 1 1"]
 # per line of the valid file, broken variants of that line
@@ -30,7 +32,11 @@ DFA_BREAKS = [
     ["states 0", "states x", "states \u0663"],
     ["initial 2", "initial -1"],
     ["accepting 0 9", "accepting 1 1", "accepting; none"],
-    ["row 0 1", "row 0 7 0", "row 1 0 0", "row x 0 0"],
+    # what a bulk row check can get wrong: a row split or joined across
+    # lines keeps the total token count right, int() reads "+1" and "00"
+    # but not "1.0", and a max-only range check passes "-1"
+    ["row 0 1", "row 0 7 0", "row 1 0 0", "row x 0 0", "row 0 1 0 row\n1 1 1",
+     "row 0 1 0 row 1 1 1", "row 0 +1 00", "row 0 1.0 0", "row 0 -1 0"],
     ["row 1 1 1 1", "row 0 0 0", "", "row 1 1 1\nrow 2 0 0"],
 ]
 VALID_CNF = ["c comment", "p cnf 2 2", "1 -2 0", "2 0"]
@@ -83,6 +89,83 @@ def test_parse_dfa_value_or_parse_error(text):
     except DfaParseError:
         return
     assert parse_dfa(serialize_dfa(dfa)) == dfa
+
+
+# numerals in spellings int() reads, then two it rejects
+ODD_NUMERALS = ["+1", "01", "1_0", "\u0663", "-0", "1.0", "1e0"]
+
+
+def _shuffle_rows(lines, rng):
+    rows = lines[5:]
+    rng.shuffle(rows)
+    return lines[:5] + rows
+
+
+def _insert_blank_or_comment(lines, rng):
+    lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", " \t", "; row 0 0", ";"]))
+    return lines
+
+
+def _comment_tail(lines, rng):
+    i = rng.randrange(len(lines))
+    lines[i] += rng.choice([" ; note", ";row 0 0", ";"])
+    return lines
+
+
+def _move_boundary(lines, rng):
+    """Move one token across the boundary of two adjacent lines."""
+    i = rng.randrange(len(lines) - 1)
+    head, tail = lines[i].split(), lines[i + 1].split()
+    if rng.random() < 0.5 and head:
+        tail.insert(0, head.pop())
+    elif tail:
+        head.append(tail.pop(0))
+    lines[i : i + 2] = [" ".join(head), " ".join(tail)]
+    return lines
+
+
+def _join_two_lines(lines, rng):
+    i = rng.randrange(len(lines) - 1)
+    lines[i : i + 2] = [lines[i] + " " + lines[i + 1]]
+    return lines
+
+
+def _odd_numeral(lines, rng):
+    i = rng.randrange(len(lines))
+    tokens = lines[i].split()
+    if tokens:
+        tokens[rng.randrange(len(tokens))] = rng.choice(ODD_NUMERALS)
+    lines[i] = " ".join(tokens)
+    return lines
+
+
+MANGLES = [_shuffle_rows, _insert_blank_or_comment, _comment_tail, _move_boundary,
+           _join_two_lines, _odd_numeral]
+
+
+@st.composite
+def mangled_dfa_text(draw):
+    """A serialized random 1-60 state DFA, then up to four manglings."""
+    rng = draw(st.randoms(use_true_random=False))
+    alphabet = draw(st.sampled_from(["a", "ab", "01#"]))
+    lines = serialize_dfa(random_dfa(rng, draw(st.integers(1, 60)), alphabet)).splitlines()
+    for mangle in draw(st.lists(st.sampled_from(MANGLES), max_size=4)):
+        lines = mangle(lines, rng)
+    return "\n".join(lines)
+
+
+def parse_outcome(parse, text):
+    """The parsed value, or the parse error's message and line."""
+    try:
+        return parse(text)
+    except DfaParseError as err:
+        return str(err), err.line
+
+
+@settings(max_examples=300)
+@given(st.one_of(DFA_TEXT, mangled_dfa_text()))
+def test_parse_dfa_matches_line_by_line_reference(text):
+    assert parse_outcome(parse_dfa, text) == parse_outcome(parse_dfa_reference, text)
 
 
 @given(CNF_TEXT)
@@ -152,6 +235,11 @@ def each_break(valid, breaks):
 @pytest.mark.parametrize("x", each_break(VALID_DFA, DFA_BREAKS))
 def test_cli_on_each_broken_dfa_line(x, argv):
     run_cli({"x": x, "y": "\n".join(VALID_DFA)}, argv)
+
+
+@pytest.mark.parametrize("text", each_break(VALID_DFA, DFA_BREAKS))
+def test_parse_dfa_each_broken_line_matches_reference(text):
+    assert parse_outcome(parse_dfa, text) == parse_outcome(parse_dfa_reference, text)
 
 
 @pytest.mark.parametrize("argv", CNF_COMMANDS)
