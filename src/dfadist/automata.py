@@ -325,47 +325,42 @@ def parse_dfa(text: str) -> Dfa:
     content = list(filter(itemgetter(1), enumerate(map(str.split, raw), start=1)))
     lines = iter(content)
 
-    def take(what: str) -> tuple[int, list[str]]:
+    def take(what: str, keyword: str | None = None) -> tuple[int, list[str]]:
         line = next(lines, None)
         if line is None:
             raise DfaParseError(f"unexpected end of input, expected {what}")
+        if keyword is not None and (len(line[1]) != 2 or line[1][0] != keyword):
+            raise DfaParseError(f"expected {what}", line[0])
         return line
 
     lineno, tokens = take("header 'dfa v1'")
     if tokens != ["dfa", "v1"]:
         raise DfaParseError(f"malformed header {' '.join(tokens)!r}, expected 'dfa v1'", lineno)
 
-    lineno, tokens = take("'alphabet <symbols>'")
-    if len(tokens) != 2 or tokens[0] != "alphabet":
-        raise DfaParseError("expected 'alphabet <symbols>'", lineno)
+    lineno, tokens = take("'alphabet <symbols>'", "alphabet")
     try:
         alphabet = Alphabet(tokens[1])
     except AlphabetError as err:
         raise DfaParseError(str(err), lineno) from None
 
-    lineno, tokens = take("'states <m>'")
-    if len(tokens) != 2 or tokens[0] != "states":
-        raise DfaParseError("expected 'states <m>'", lineno)
+    lineno, tokens = take("'states <m>'", "states")
     m = _parse_int(tokens[1], lineno, "state count")
     if m < 1:
         raise DfaParseError(f"state count must be positive, got {m}", lineno)
 
-    lineno, tokens = take("'initial <q>'")
-    if len(tokens) != 2 or tokens[0] != "initial":
-        raise DfaParseError("expected 'initial <q>'", lineno)
-    initial = _parse_int(tokens[1], lineno, "initial state")
-    if not 0 <= initial < m:
-        raise DfaParseError(f"initial state {initial} outside [0,{m})", lineno)
+    lineno, tokens = take("'initial <q>'", "initial")
+    initial = _parse_int(tokens[1], lineno, "initial state", m)
 
     lineno, tokens = take("'accepting [q...]'")
     if tokens[0] != "accepting":
         raise DfaParseError("expected 'accepting [q...]'", lineno)
-    accepting = set()
-    for token in tokens[1:]:
-        q = _parse_int(token, lineno, "accepting state")
-        if not 0 <= q < m:
-            raise DfaParseError(f"accepting state {q} outside [0,{m})", lineno)
-        accepting.add(q)
+    # read in bulk like the rows; the per-token walk raises the first fault
+    try:
+        accepting = set(map(int, tokens[1:]))
+    except ValueError:
+        accepting = None
+    if accepting is None or (accepting and (min(accepting) < 0 or max(accepting) >= m)):
+        accepting = {_parse_int(t, lineno, "accepting state", m) for t in tokens[1:]}
 
     # at most m lines, so a huge declared m allocates nothing
     row_lines = list(islice(lines, m))
@@ -379,11 +374,15 @@ def parse_dfa(text: str) -> Dfa:
     return Dfa(alphabet, rows, initial, accepting)
 
 
-def _parse_int(token: str, lineno: int, what: str) -> int:
+def _parse_int(token: str, lineno: int, what: str, m: int | None = None) -> int:
+    """The numeral ``token``; with ``m``, a state id in [0, m)."""
     try:
-        return int(token)
+        q = int(token)
     except ValueError:
         raise DfaParseError(f"expected {what}, got {token!r}", lineno) from None
+    if m is not None and not 0 <= q < m:
+        raise DfaParseError(f"{what} {q} outside [0,{m})", lineno)
+    return q
 
 
 def _bulk_rows(
@@ -437,16 +436,12 @@ def _raise_row_error(
                 f"got {len(tokens) - 2}",
                 lineno,
             )
-        q = _parse_int(tokens[1], lineno, "row state")
-        if not 0 <= q < m:
-            raise DfaParseError(f"row state {q} outside [0,{m})", lineno)
+        q = _parse_int(tokens[1], lineno, "row state", m)
         if q in seen:
             raise DfaParseError(f"duplicate row for state {q}", lineno)
         seen.add(q)
         for token in tokens[2:]:
-            t = _parse_int(token, lineno, "row target")
-            if not 0 <= t < m:
-                raise DfaParseError(f"row target {t} outside [0,{m})", lineno)
+            _parse_int(token, lineno, "row target", m)
     raise DfaParseError(f"unexpected end of input, expected 'row <q> <{width} targets>'")
 
 

@@ -29,9 +29,11 @@ VALID_DFA = ["dfa v1", "alphabet ab", "states 2", "initial 0", "accepting 1", "r
 DFA_BREAKS = [
     ["dfa v2", "; comment"],
     ["alphabet aa", "alphabet", "alphabet a b"],
-    ["states 0", "states x", "states \u0663"],
-    ["initial 2", "initial -1"],
-    ["accepting 0 9", "accepting 1 1", "accepting; none"],
+    ["states 0", "states x", "states \u0663", "states", "states 2 2"],
+    ["initial 2", "initial -1", "initial 0 0"],
+    # the accepting line is read in bulk, then token by token on a fault
+    ["accepting 0 9", "accepting 1 1", "accepting; none", "accepting 9 x", "accepting x 9",
+     "accepting 1 -1"],
     # what a bulk row check can get wrong: a row split or joined across
     # lines keeps the total token count right, int() reads "+1" and "00"
     # but not "1.0", and a max-only range check passes "-1"
