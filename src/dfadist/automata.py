@@ -354,13 +354,7 @@ def parse_dfa(text: str) -> Dfa:
     lineno, tokens = take("'accepting [q...]'")
     if tokens[0] != "accepting":
         raise DfaParseError("expected 'accepting [q...]'", lineno)
-    # read in bulk like the rows; the per-token walk raises the first fault
-    try:
-        accepting = set(map(int, tokens[1:]))
-    except ValueError:
-        accepting = None
-    if accepting is None or (accepting and (min(accepting) < 0 or max(accepting) >= m)):
-        accepting = {_parse_int(t, lineno, "accepting state", m) for t in tokens[1:]}
+    accepting = {_parse_int(t, lineno, "accepting state", m) for t in tokens[1:]}
 
     # at most m lines, so a huge declared m allocates nothing
     row_lines = list(islice(lines, m))

@@ -31,7 +31,8 @@ DFA_BREAKS = [
     ["alphabet aa", "alphabet", "alphabet a b"],
     ["states 0", "states x", "states \u0663", "states", "states 2 2"],
     ["initial 2", "initial -1", "initial 0 0"],
-    # the accepting line is read in bulk, then token by token on a fault
+    # the first faulty accepting token is the one reported: a state above m
+    # before a bad numeral, a bad numeral before a state above m, a state below 0
     ["accepting 0 9", "accepting 1 1", "accepting; none", "accepting 9 x", "accepting x 9",
      "accepting 1 -1"],
     # what a bulk row check can get wrong: a row split or joined across
