@@ -55,8 +55,13 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     formula = _load_cnf(args.cnf)
     lower = build_lower_dfa(formula.var_count, formula.clause_count)
     upper = build_upper_dfa(formula, lower)
-    Path(args.out_upper).write_text(serialize_dfa(upper), encoding="utf-8")
-    Path(args.out_lower).write_text(serialize_dfa(lower), encoding="utf-8")
+    out_upper = Path(args.out_upper)
+    out_upper.write_text(serialize_dfa(upper), encoding="utf-8")
+    try:
+        Path(args.out_lower).write_text(serialize_dfa(lower), encoding="utf-8")
+    except OSError:  # both files or neither
+        out_upper.unlink(missing_ok=True)
+        raise
     print(f"upper states: {upper.state_count}")
     print(f"lower states: {lower.state_count}")
     return EXIT_TRUE
@@ -177,13 +182,8 @@ def main(argv: list[str] | None = None) -> int:
     handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
-    except (
-        AutomataError,
-        DimacsParseError,
-        ValueError,
-        OSError,
-        RuntimeError,  # a failed re-check; RecursionError is one too
-    ) as err:
+    except (AutomataError, DimacsParseError, ValueError, OSError, RuntimeError) as err:
+        # a RuntimeError is a failed re-check; RecursionError is one too
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
     except MemoryError:

@@ -95,6 +95,7 @@ class _PairSpace:
 
     def __init__(self, target: Dfa, other: Dfa):
         pairs, rows, _ = _pair_search(target, other)
+        self.alphabet = target.alphabet
         self.width = width = len(target.alphabet)
         self.step = [[rows[y][c] for y in range(len(pairs))] for c in range(width)]
         self.bit = [[1 << t for t in row] for row in self.step]
@@ -179,7 +180,7 @@ def _loop_dfa(alphabet: Alphabet, word: Word) -> Dfa:
     return Dfa(alphabet, rows, 0, {0})
 
 
-def _cycle_candidate(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | None:
+def _cycle_candidate(k: int, space: _PairSpace) -> Dfa | None:
     """Cheap pre-pass: a k-state candidate that loops one word forever.
 
     Such loops (``_loop_dfa``: one state per position of a word of k-1
@@ -191,7 +192,7 @@ def _cycle_candidate(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
     were ruled out by the caller's ``k_min``.  At k = 1 the only
     loop is the empty word's, the universal DFA; its pair set is the space.
     """
-    step, goal, bad = space.step, space.goal, space.bad
+    alphabet, step, goal, bad = space.alphabet, space.step, space.goal, space.bad
     if k == 1:
         return _loop_dfa(alphabet, "") if goal and not bad else None
     for word in itertools.product(range(space.width), repeat=k - 1):
@@ -205,21 +206,23 @@ def _cycle_candidate(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
     return None
 
 
-def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | None:
+def _search_feasible(k: int, space: _PairSpace) -> Dfa | None:
     """Complete bounded synthesis for one orientation.
 
     Depth-first search over canonical transition tables (states are
     numbered in first-use order, so each reachable table is visited once
     up to isomorphism), tracking per-state pair sets incrementally.  The
     partial table is one row per used state, ``None`` marking an open
-    cell; the open cells also sit on the ``todo`` stack.  For a fixed
-    table the best accepting set is forced: accept exactly the states
-    whose pair set avoids every bad pair; the table succeeds iff such a
-    state meets a goal pair.  After every assignment, ``live`` checks
-    whether the partial table can still be completed, within k states,
-    into one with a witness; subtrees where it cannot are cut.  The check
-    only drops subtrees without a solution, so the first table found is
-    the one an unpruned search would find.
+    cell.  Each node fills the first open cell of the newest state that
+    has one, so depth-first demand chases loop-shaped witnesses instead
+    of fanning out across sibling cells.  For a fixed table the best
+    accepting set is forced: accept exactly the states whose pair set
+    avoids every bad pair; the table succeeds iff such a state meets a
+    goal pair.  After every assignment, ``live`` checks whether the
+    partial table can still be completed, within k states, into one with
+    a witness; subtrees where it cannot are cut.  The check only drops
+    subtrees without a solution, so the first table found is the one an
+    unpruned search would find.
 
     The search runs only when ``_cycle_candidate`` finds no k-state loop,
     and never at k = 1, whose only candidate is that loop.  Either way the
@@ -227,15 +230,12 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
     ``synth_min_distinguishing``, that lower budgets were tried first or
     ruled out by the caller's ``k_min``.
     """
-    looped = _cycle_candidate(alphabet, k, space)
+    looped = _cycle_candidate(k, space)
     if looped is not None or k == 1:
         return looped
     width = space.width
     tau = [1 << 0]  # pair sets per used candidate state; pair 0 is initial
     delta: list[list[int | None]] = [[None] * width]
-    # open cells as a stack: depth-first demand chases loop-shaped
-    # witnesses instead of fanning out across sibling cells
-    todo = [(0, c) for c in reversed(range(width))]
     step, step_set, bit = space.step, space.step_set, space.bit
     escape_possible = space.escape_possible
     goal, bad, doomed = space.goal, space.bad, space.doomed
@@ -268,28 +268,28 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
                     pending[target] = pending.get(target, 0) | image
         return True
 
-    def finish() -> Dfa | None:
+    def finish(open_cells: bool) -> Dfa | None:
         """Close the current partial table if some state is already a witness.
 
         A state whose pair set meets a goal pair and avoids every bad
         pair stays that way when all open cells are routed into an
         absorbing non-accepting sink, because sink-bound flow never
         enters any other state.  The sink is a fresh state, so with all k
-        states used only a complete table (an empty ``todo``) closes.  A
-        used state without assigned cells cannot serve: under first-use
-        numbering with the LIFO ``todo`` stack it is the one just created,
-        and so the winner.
+        states used only a complete table (no ``open_cells``) closes.  A
+        used state without assigned cells cannot serve: as cells are
+        filled in the newest state that has an open one, it is the one
+        just created, and so the winner.
         """
         if not any(m & goal and not m & bad for m in tau):
             return None
         used = len(tau)
-        if todo and used == k:
+        if open_cells and used == k:
             return None
         rows = [[used if t is None else t for t in row] for row in delta]
-        if todo:
+        if open_cells:
             rows.append([used] * width)
         accepting = {q for q, m in enumerate(tau) if not m & bad}
-        return Dfa(alphabet, rows, 0, accepting)
+        return Dfa(space.alphabet, rows, 0, accepting)
 
     def live() -> bool:
         """Can some completion with at most k states still hold a witness?
@@ -341,14 +341,13 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
                             stack.append((t, y2))
         return False
 
-    def children():
+    def children(q: int, c: int):
         """Set up each live child of the current node, yielding once per child.
 
-        The child fills the next open cell with a fresh state first, then
+        The child fills the open cell (q, c) with a fresh state first, then
         with each used state.  When resumed it is undone: the pair sets
         come back from a snapshot, which drops a fresh state's slot too.
         """
-        q, c = todo.pop()
         row = delta[q]
         image = step_set(c, tau[q])
         used = len(tau)
@@ -358,7 +357,6 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
             if fresh:
                 tau.append(0)
                 delta.append([None] * width)
-                todo.extend((q2, c2) for c2 in reversed(range(width)))
             row[c] = q2
             if propagate(q2, image) and live():
                 yield True
@@ -366,19 +364,19 @@ def _search_feasible(alphabet: Alphabet, k: int, space: _PairSpace) -> Dfa | Non
             row[c] = None
             if fresh:
                 delta.pop()
-                del todo[-width:]
-        todo.append((q, c))
 
     # depth-first: every node entered is counted and closed if it can be;
-    # an open node pushes its children, an exhausted frame is popped
+    # an open node pushes the children of the first open cell of the
+    # newest state that has one, an exhausted frame is popped
     frames = []
     while True:
         space.nodes += 1
-        done = finish()
+        q = next((q for q in reversed(range(len(delta))) if None in delta[q]), None)
+        done = finish(q is not None)
         if done is not None:
             return done
-        if todo:
-            frames.append(children())
+        if q is not None:
+            frames.append(children(q, delta[q].index(None)))
         while frames and not next(frames[-1], False):
             frames.pop()
         if not frames:
@@ -415,7 +413,7 @@ def synth_min_distinguishing(a1: Dfa, a2: Dfa, k_max: int, k_min: int = 1) -> Sy
         return SynthOutcome(None, None, k_max)
     for k in range(k_min, k_max + 1):
         for orientation, space in prepared:
-            candidate = _search_feasible(a1.alphabet, k, space)
+            candidate = _search_feasible(k, space)
             if candidate is None:
                 continue
             dfa = candidate.minimize()

@@ -207,6 +207,17 @@ def test_reduce_unreadable_path(workdir, capsys):
     assert err.startswith("error:")
 
 
+def test_reduce_leaves_no_half_pair(workdir, capsys):
+    # the lower file cannot be written, so the upper one is removed again
+    code, out, err = run(
+        capsys, "reduce", workdir / "unit_pos.cnf", workdir / "u.dfa", workdir / "missing" / "l.dfa"
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not (workdir / "u.dfa").exists()
+
+
 def test_sat_satisfiable_model_line(workdir, capsys):
     code, out, _ = run(capsys, "sat", workdir / "unit_pos.cnf")
     assert code == 0

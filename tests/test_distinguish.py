@@ -150,7 +150,7 @@ def test_search_feasibility_matches_exhaustive_reference(rng, example_a, example
             assert (space.goal == 0) == is_subset(target, escape)
             skipped += not space.goal
             for k in (1, 2):
-                found = _search_feasible(a.alphabet, k, space)
+                found = _search_feasible(k, space)
                 feasible[i, orientation, k] = found is not None
                 assert (found is not None) == exhaustive_feasible(a.alphabet, k, target, escape)
                 if found is not None:
@@ -223,7 +223,7 @@ def test_cycle_candidate_tries_only_k_state_loops():
     space = _PairSpace(upper.minimize(), lower.minimize())
     sizes = []
     for k in range(1, 5):
-        loop = _cycle_candidate(upper.alphabet, k, space)
+        loop = _cycle_candidate(k, space)
         if loop is not None:
             assert loop.state_count == k
             assert is_subset(loop, upper) and not is_subset(loop, lower)
@@ -246,7 +246,7 @@ def test_cycle_candidate_matches_loop_semantics():
                     if is_subset(loop, target) and not is_subset(loop, other):
                         expected = loop
                         break
-                assert _cycle_candidate(target.alphabet, k, space) == expected
+                assert _cycle_candidate(k, space) == expected
 
 
 def test_synth_example_pair_two_states(example_a, example_b):
@@ -336,7 +336,7 @@ def test_synth_catches_a_false_lower_bound(example_a, example_b, odd_length, mon
     with pytest.raises(RuntimeError, match="fewer than the lower bound k_min=3"):
         synth_min_distinguishing(example_a, example_b, 3, k_min=3)
     # a candidate smaller than k_min is refused even when it distinguishes
-    monkeypatch.setattr(distinguish, "_search_feasible", lambda alphabet, k, space: odd_length)
+    monkeypatch.setattr(distinguish, "_search_feasible", lambda k, space: odd_length)
     with pytest.raises(RuntimeError, match="fewer than the lower bound k_min=3"):
         synth_min_distinguishing(example_a, example_b, 4, k_min=3)
 
@@ -429,7 +429,7 @@ def test_synth_nodes_per_budget_are_pinned():
     added = []
     for k in range(1, 6):
         before = space.nodes
-        assert _search_feasible(upper.alphabet, k, space) is None
+        assert _search_feasible(k, space) is None
         added.append(space.nodes - before)
     assert added == [0, 1, 5, 116, 12222]
 

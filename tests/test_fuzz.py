@@ -54,7 +54,7 @@ CNF_BREAKS = [
 def broken(valid, breaks):
     """The valid file with up to three lines swapped for broken variants,
     as is or with its lines shuffled."""
-    edits = st.lists(st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 5)), max_size=3)
+    edits = st.lists(st.tuples(st.integers(0, len(valid) - 1), st.integers(0, max(map(len, breaks)) - 1)), max_size=3)
 
     def apply(edits):
         lines = list(valid)
