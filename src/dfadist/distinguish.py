@@ -91,14 +91,24 @@ class _PairSpace:
     ``step_set`` ORs those over a set, one pair at a time (the spaces
     synthesis meets hold tens of pairs).  Only ``escape_possible`` reads
     or writes its cache of answers per mask.
+
+    ``mirror``, a space built for the other orientation (``other``
+    against ``target``), lends its ``step`` and ``bit`` tables:
+    ``_pair_search`` numbers the swapped pairs in the same order, so
+    only the masks, the cache and the node count are this space's own.
     """
 
-    def __init__(self, target: Dfa, other: Dfa):
-        pairs, rows, _ = _pair_search(target, other)
+    def __init__(self, target: Dfa, other: Dfa, mirror: _PairSpace | None = None):
         self.alphabet = target.alphabet
         self.width = width = len(target.alphabet)
-        self.step = [[rows[y][c] for y in range(len(pairs))] for c in range(width)]
-        self.bit = [[1 << t for t in row] for row in self.step]
+        if mirror is None:
+            pairs, rows, _ = _pair_search(target, other)
+            self.step = [[rows[y][c] for y in range(len(pairs))] for c in range(width)]
+            self.bit = [[1 << t for t in row] for row in self.step]
+        else:
+            pairs = [(t, x) for x, t in mirror.pairs]
+            self.step, self.bit = mirror.step, mirror.bit
+        self.pairs = pairs  # (t, x) per pair number
         self.bad = self.goal = self.doomed = 0
         for y, (t, x) in enumerate(pairs):
             if t not in target.accepting:
@@ -291,6 +301,47 @@ def _search_feasible(k: int, space: _PairSpace) -> Dfa | None:
         accepting = {q for q, m in enumerate(tau) if not m & bad}
         return Dfa(space.alphabet, rows, 0, accepting)
 
+    def within_room(start: int, room: int, fits: dict[int, bool]) -> bool:
+        """Can a pair path from ``start`` reach a goal pair along which the
+        greedy clique (see ``live``) holds at most ``room`` pairs?
+
+        A breadth-first search over (pair, clique) states, which fix the
+        rest of the greedy walk; ``start`` is always in the clique.  A
+        pair that cannot escape on its own (doomed pairs among them) lies
+        on no witness and is not followed.  ``fits`` caches the fit test
+        per pair: ``tau`` does not change during one ``live`` call.
+        """
+        if 1 << start & goal:
+            return True
+        order = [(start, 1 << start)]
+        seen = set(order)
+        for y, clique in order:
+            for c in range(width):
+                z = step[c][y]
+                if not escape_possible(1 << z):
+                    continue
+                grown = clique
+                fit = fits.get(z)
+                if fit is None:
+                    fit = fits[z] = any(escape_possible(m | 1 << z) for m in tau)
+                if not fit:
+                    members = clique
+                    while members:  # z joins if incompatible with every member
+                        low = members & -members
+                        if escape_possible(low | 1 << z):
+                            break
+                        members ^= low
+                    else:
+                        if clique.bit_count() == room:
+                            continue
+                        grown = clique | 1 << z
+                if 1 << z & goal:
+                    return True
+                if (z, grown) not in seen:
+                    seen.add((z, grown))
+                    order.append((z, grown))
+        return False
+
     def live() -> bool:
         """Can some completion with at most k states still hold a witness?
 
@@ -310,11 +361,31 @@ def _search_feasible(k: int, space: _PairSpace) -> Dfa | None:
         (0, 0) is never tested as a goal: a goal pair 0 closes the table
         at the root in ``finish``, as k >= 2 here; any other witness state
         lies at the end of a nonempty word over assigned cells.
+
+        A witness that enters a fresh state at pair y2 must also find the
+        states for the rest of its pair path, the pairs z it passes, among
+        the ``room`` = k - len(tau) still unused.  Two facts follow from
+        the relaxation behind ``escape_possible``: in a completion, the
+        state the witness holds at pair z has a pair set that contains z
+        and escapes through the rest of the witness, and so does each of
+        its subsets that contains z.  So z *fits* used state s only if
+        ``escape_possible(tau[s] | 1 << z)``: pair sets only grow, and a
+        pair that fits no used state sits in a fresh one.  Two pairs are
+        *incompatible* when their two-pair set cannot escape: no state
+        on a witness holds both.  Hence pairwise incompatible pairs of the
+        path that fit no used state, with y2 (in its fresh state) among
+        them, each take their own fresh state, and the size of such a
+        clique is a lower bound on the fresh states the witness needs.
+        ``within_room`` builds one greedily along each pair path from y2
+        and accepts only paths to a goal pair whose clique fits in
+        ``room``; a completion holding this witness would trace such a
+        path, so no subtree with a solution is cut.
         """
         if not escape_possible(tau[0]):
             return False
         used = len(tau)
-        fresh = used < k
+        room = k - used
+        fits: dict[int, bool] = {}
         seen = {(0, 0)}
         stack = [(0, 0)]
         while stack:
@@ -324,7 +395,11 @@ def _search_feasible(k: int, space: _PairSpace) -> Dfa | None:
                 y2 = step[c][y]
                 target = row[c]
                 if target is None:
-                    if fresh and escape_possible(step_set(c, tau[q] | 1 << y)):
+                    if (
+                        room
+                        and escape_possible(step_set(c, tau[q] | 1 << y))
+                        and within_room(y2, room, fits)
+                    ):
                         return True
                     targets = range(used)
                 else:
@@ -402,13 +477,11 @@ def synth_min_distinguishing(a1: Dfa, a2: Dfa, k_max: int, k_min: int = 1) -> Sy
     if not 1 <= k_min <= k_max:
         raise ValueError(f"need 1 <= k_min <= k_max, got k_min={k_min}, k_max={k_max}")
     m1, m2 = a1.minimize(), a2.minimize()
-    prepared = []
-    for orientation, target, other in ((Orientation.FIRST, m1, m2), (Orientation.SECOND, m2, m1)):
-        space = _PairSpace(target, other)
-        # no goal pair: the target language is inside the other, so no
-        # subset of it can escape; skip the orientation outright
-        if space.goal:
-            prepared.append((orientation, space))
+    first = _PairSpace(m1, m2)
+    spaces = ((Orientation.FIRST, first), (Orientation.SECOND, _PairSpace(m2, m1, first)))
+    # no goal pair: the target language is inside the other, so no
+    # subset of it can escape; skip the orientation outright
+    prepared = [(orientation, space) for orientation, space in spaces if space.goal]
     if not prepared:  # equal languages: no budget can help
         return SynthOutcome(None, None, k_max)
     for k in range(k_min, k_max + 1):

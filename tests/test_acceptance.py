@@ -6,6 +6,7 @@ and two clauses, plus five curated three-variable cases) is evaluated
 once and shared across criteria.
 """
 
+import random
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -136,6 +137,29 @@ def test_criterion_4_unsatisfiable_side(battery):
                 oracle = brute_force_min_distinguishing(entry.upper, entry.lower, bound)
                 assert not oracle.found, entry.formula
         assert all(e.report.consistent for e in battery.entries)
+        # four variables, past the battery: the contradiction took 238 s
+        # before the search cut branches short of fresh states
+        for formula in [CnfFormula(4, [(1,), (-1,)])] + unsatisfiable_four_variable_formulas(8):
+            started = time.perf_counter()
+            report = verify_lemma(formula)
+            elapsed = time.perf_counter() - started
+            assert report.consistent and report.min_distinguishing_k is None, formula
+            assert elapsed < 1.0, f"{formula} took {elapsed:.2f}s"
+
+
+def unsatisfiable_four_variable_formulas(count: int) -> list:
+    """Seeded random unsatisfiable formulas over four variables, each of
+    4-8 clauses of one or two literals."""
+    rng = random.Random(4)
+    formulas = []
+    while len(formulas) < count:
+        clauses = [
+            [rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(rng.randint(1, 2))]
+            for _ in range(rng.randint(4, 8))
+        ]
+        if not truth_table_satisfiable(4, clauses):
+            formulas.append(CnfFormula(4, clauses))
+    return formulas
 
 
 def test_criterion_5_builders_match_scans(battery):

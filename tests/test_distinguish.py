@@ -321,13 +321,13 @@ def test_synth_rejects_a_lower_bound_outside_the_budget(example_a, example_b):
 
 
 def test_synth_lower_bound_skips_the_budgets_below_it():
-    # the 3-var contradiction's full search takes 1 + 5 + 116 nodes below
+    # the 3-var contradiction's full search takes 1 + 1 + 1 nodes below
     # budget 5 (pinned per budget below); k_min = 5 enters none of them
     formula = CnfFormula(3, [(1,), (-1,)])
     lower = build_lower_dfa(formula.var_count, formula.clause_count)
     outcome = synth_min_distinguishing(build_upper_dfa(formula, lower), lower, 5, k_min=5)
     assert outcome == SynthOutcome(None, None, 5)
-    assert outcome.nodes == 12222
+    assert outcome.nodes == 11
 
 
 def test_synth_catches_a_false_lower_bound(example_a, example_b, odd_length, monkeypatch):
@@ -380,13 +380,14 @@ def test_synth_agrees_with_brute_force_over_three_symbols():
 def test_synth_counts_search_nodes():
     # refuting every k <= 4 for the two-variable contradiction (k = 1 by
     # rule, with no search); pruning on the initial state's pair set alone
-    # takes 123,152 nodes
+    # takes 123,152 nodes, the liveness check without the fresh-state
+    # budget 122
     formula = CnfFormula(2, [(1,), (-1,)])
     lower = build_lower_dfa(formula.var_count, formula.clause_count)
     upper = build_upper_dfa(formula, lower)
     outcome = synth_min_distinguishing(upper, lower, 4)
     assert not outcome.found
-    assert outcome.nodes == 122
+    assert outcome.nodes == 9
     # the count takes no part in equality
     assert outcome == SynthOutcome(None, None, 4)
 
@@ -416,7 +417,7 @@ def test_synth_refutes_three_variable_contradiction_in_pinned_nodes():
     lower = build_lower_dfa(formula.var_count, formula.clause_count)
     outcome = synth_min_distinguishing(build_upper_dfa(formula, lower), lower, 5)
     assert not outcome.found
-    assert outcome.nodes == 12344
+    assert outcome.nodes == 14
 
 
 def test_synth_nodes_per_budget_are_pinned():
@@ -431,7 +432,7 @@ def test_synth_nodes_per_budget_are_pinned():
         before = space.nodes
         assert _search_feasible(k, space) is None
         added.append(space.nodes - before)
-    assert added == [0, 1, 5, 116, 12222]
+    assert added == [0, 1, 1, 1, 11]
 
 
 def test_synth_budget_one_is_answered_by_rule():
@@ -470,8 +471,8 @@ def built_spaces(monkeypatch):
     """Records every pair space synthesis builds, with its target."""
     built = []
 
-    def recording(target, other):
-        built.append((_PairSpace(target, other), target, other))
+    def recording(target, other, mirror=None):
+        built.append((_PairSpace(target, other, mirror), target, other))
         return built[-1][0]
 
     monkeypatch.setattr(distinguish, "_PairSpace", recording)
@@ -501,12 +502,18 @@ def test_synth_spaces_doom_exactly_the_dead_pairs(built_spaces):
     assert len(built_spaces) == 2 * len(cases)
     assert all(s.doomed == dead_pairs(t, o) for s, t, o in built_spaces)
     assert sum(s.doomed != 0 for s, _, _ in built_spaces) > len(cases)
+    # the second orientation's space borrows the first one's tables and
+    # matches a space built on its own
+    for (first, _, _), (second, t, o) in zip(built_spaces[::2], built_spaces[1::2]):
+        assert second.step is first.step and second.bit is first.bit
+        alone = _PairSpace(t, o)
+        assert (second.step, second.bad, second.goal) == (alone.step, alone.bad, alone.goal)
 
 
 def test_synth_battery_answers_and_nodes_are_pinned():
     # a change to the search's internals must keep its decisions: the
     # same first table per formula, found after the same number of nodes
-    assert answers_and_nodes(battery_cases()) == ("552671ddb4160c5c", 1339)
+    assert answers_and_nodes(battery_cases()) == ("552671ddb4160c5c", 347)
 
 
 def test_synth_random_pair_answers_and_nodes_are_pinned():
@@ -518,7 +525,7 @@ def test_synth_hard_pair_answers_and_nodes_are_pinned():
     # every pair needs three or four states, so the search refutes k = 2
     # (and, for two pairs, k = 3) over the reduction's alphabet
     cases = [(a, b, 4) for a, b in hard_pair_battery()]
-    assert answers_and_nodes(cases) == ("5cab2a319d57a3ed", 3099)
+    assert answers_and_nodes(cases) == ("5cab2a319d57a3ed", 2855)
 
 
 def test_synth_leaves_no_cyclic_garbage():
@@ -536,15 +543,49 @@ def test_synth_leaves_no_cyclic_garbage():
         gc.enable()
 
 
+def deepest_child_stack(search):
+    """Most child generators of ``_search_feasible`` open at once while
+    ``search()`` runs: the depth of its deepest node, in filled cells."""
+    code = distinguish._search_feasible.__code__
+    children = next(c for c in code.co_consts if getattr(c, "co_name", None) == "children")
+    open_frames = set()
+    deepest = 0
+
+    def profile(frame, event, arg):
+        nonlocal deepest
+        if frame.f_code is not children:
+            return
+        # a generator's frame is entered on each resume and left on each
+        # yield (of True) and at its end (returning None)
+        if event == "call":
+            open_frames.add(frame)
+            deepest = max(deepest, len(open_frames))
+        elif event == "return" and arg is None:
+            open_frames.discard(frame)
+
+    sys.setprofile(profile)
+    try:
+        search()
+    finally:
+        sys.setprofile(None)
+    return deepest
+
+
 def test_synth_depth_needs_no_recursion():
     # a recursive search takes a frame per filled cell; the loop's stack
-    # depth does not grow with the tree, so the full-range search on
-    # 4-var [(4,)] (verify_lemma would skip budgets 1..5) runs a dozen
-    # levels above its caller.  The depth is the one the interpreter
-    # counts (C calls included): the lowest limit it accepts here, minus 1.
-    formula = CnfFormula(4, [(4,)])
+    # depth does not grow with the tree.  Refuting budget 10 alone on the
+    # 8-var contradiction reaches nodes more than a dozen cells deep, yet
+    # runs a dozen levels above its caller.  The depth is the one the
+    # interpreter counts (C calls included): the lowest limit it accepts
+    # here, minus 1.
+    formula = CnfFormula(8, [(1,), (-1,)])
     lower = build_lower_dfa(formula.var_count, formula.clause_count)
     upper = build_upper_dfa(formula, lower)
+
+    def search():
+        return synth_min_distinguishing(upper, lower, 10, k_min=10)
+
+    assert deepest_child_stack(search) > 12
     limit = sys.getrecursionlimit()
     depth = 1
     while True:
@@ -555,11 +596,11 @@ def test_synth_depth_needs_no_recursion():
             depth += 1
     try:
         sys.setrecursionlimit(depth + 12)
-        outcome = synth_min_distinguishing(upper, lower, 6)
+        outcome = search()
     finally:
         sys.setrecursionlimit(limit)
-    assert outcome.bound == 6
-    assert outcome.nodes == 12344
+    assert outcome == SynthOutcome(None, None, 10)
+    assert outcome.nodes == 259
 
 
 def test_synth_sees_a_witness_through_the_empty_word():
@@ -574,12 +615,22 @@ def test_synth_sees_a_witness_through_the_empty_word():
 
 
 def test_synth_singleton_word_upper_bound(rng):
-    for _ in range(8):
-        a, b = inequivalent_pair(rng, max_states=3)
+    # the DFA of a shortest separating word w alone (a path of len(w) + 1
+    # states plus a sink) separates the pair, so synthesis finds one
+    # within len(w) + 2 states.  The hard pairs need three or four states
+    # over three symbols: there a cut that drops a live branch shows as a
+    # missed answer, and each refutation at k <= 3 is checked by brute force
+    pairs = [inequivalent_pair(rng, max_states=3) for _ in range(8)] + hard_pair_battery()
+    refuted = 0
+    for a, b in pairs:
         word = shortest_distinguishing_word(a, b)
         outcome = synth_min_distinguishing(a, b, len(word) + 2)
         assert outcome.found
         assert outcome.bound <= len(word) + 2
+        if not synth_min_distinguishing(a, b, 3).found:
+            assert not brute_force_min_distinguishing(a, b, 3).found
+            refuted += 1
+    assert refuted > 0
 
 
 # ---------------------------------------------------------------------

@@ -352,14 +352,14 @@ def reduction_pair(formula):
 
 def test_verify_lemma_matches_the_full_range_search():
     # skipping budgets 1..k+1 changes no answer: same DFA, orientation,
-    # bound; the battery takes 381 nodes instead of the full range's 1,339
+    # bound; the battery takes 59 nodes instead of the full range's 347
     nodes = 0
     for formula in battery_formulas():
         upper, lower = reduction_pair(formula)
         synth = verify_lemma(formula).synth
         assert synth == synth_min_distinguishing(upper, lower, formula.var_count + 2)
         nodes += synth.nodes
-    assert nodes == 381
+    assert nodes == 59
 
 
 def test_brute_force_refutes_budget_k_plus_one():
