@@ -89,7 +89,8 @@ class Dfa:
     delta: tuple[tuple[int, ...], ...]
     initial: int
     accepting: frozenset[int]
-    # set only on minimize's output, which is its own minimization
+    # set only on minimize's output and on reduction.build_lower_dfa's,
+    # which is minimal by construction: each is its own minimization
     _minimal: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -191,23 +192,28 @@ class Dfa:
         return "\n".join(lines) + "\n"
 
 
-def _hopcroft(dfa: Dfa, reachable: list[int]) -> dict[int, int]:
+def _hopcroft(dfa: Dfa, reachable: list[int]) -> list[int]:
     """Hopcroft's refinement restricted to the reachable states.
 
-    Returns each reachable state's block number in the coarsest
-    partition into language-equivalence classes.  A split moves only
-    the states the splitter reached, into a new block.
+    Returns, indexed by state id, each reachable state's block number in
+    the coarsest partition into language-equivalence classes.  A split
+    moves only the states the splitter reached, into a new block.
     """
     final = {q for q in reachable if q in dfa.accepting}
     blocks = [final, set(reachable) - final]
-    block_of = {q: 0 if q in final else 1 for q in reachable}
+    # indexed by state id (ids are dense); unreachable states keep block 1
+    # and no predecessors, and are never read
+    m = dfa.state_count
+    block_of = [1] * m
+    for q in final:
+        block_of[q] = 0
     if not blocks[0] or not blocks[1]:
         return block_of
 
-    preds: list[dict[int, list[int]]] = [{} for _ in dfa.alphabet.symbols]
+    preds: list[list[list[int]]] = [[[] for _ in range(m)] for _ in dfa.alphabet.symbols]
     for q in reachable:
         for c, t in enumerate(dfa.delta[q]):
-            preds[c].setdefault(t, []).append(q)
+            preds[c][t].append(q)
 
     # a set: the coarsest partition is unique, so pop order cannot matter
     worklist = {0 if len(blocks[0]) <= len(blocks[1]) else 1}
@@ -217,7 +223,7 @@ def _hopcroft(dfa: Dfa, reachable: list[int]) -> dict[int, int]:
         for pred in preds:
             affected: dict[int, set[int]] = {}
             for target in splitter:
-                for q in pred.get(target, ()):
+                for q in pred[target]:
                     affected.setdefault(block_of[q], set()).add(q)
             for b, part in affected.items():
                 block = blocks[b]

@@ -18,7 +18,6 @@ an exhaustive per-orientation feasibility reference.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -109,11 +108,17 @@ class _PairSpace:
             pairs = [(t, x) for x, t in mirror.pairs]
             self.step, self.bit = mirror.step, mirror.bit
         self.pairs = pairs  # (t, x) per pair number
+        accepting = target.accepting
+        # the rejecting sink: a minimized target has at most one
+        sink = next(
+            (t for t, row in enumerate(target.delta) if t not in accepting and row.count(t) == width),
+            None,
+        )
         self.bad = self.goal = self.doomed = 0
         for y, (t, x) in enumerate(pairs):
-            if t not in target.accepting:
+            if t not in accepting:
                 self.bad |= 1 << y
-                if all(u == t for u in target.delta[t]):  # the rejecting sink
+                if t == sink:
                     self.doomed |= 1 << y
             elif x not in other.accepting:
                 self.goal |= 1 << y
@@ -201,12 +206,31 @@ def _cycle_candidate(k: int, space: _PairSpace) -> Dfa | None:
     ``bad``.  Shorter loops failed at lower budgets, or those budgets
     were ruled out by the caller's ``k_min``.  At k = 1 the only
     loop is the empty word's, the universal DFA; its pair set is the space.
+
+    The words are walked as a tree of prefixes.  A prefix that sends
+    pair 0 to a doomed pair is not extended: every word through it sends
+    pair 0 to a doomed, bad pair of its orbit.  So the first loop found
+    is the first in lexicographic order, without walking all of them.
     """
     alphabet, step, goal, bad = space.alphabet, space.step, space.goal, space.bad
     if k == 1:
         return _loop_dfa(alphabet, "") if goal and not bad else None
-    for word in itertools.product(range(space.width), repeat=k - 1):
-        orbit = y = 0
+    # depth-first over the words of k-1 letters in lexicographic order;
+    # an entry (depth, c, y) puts letter c at ``depth`` of ``word``, and
+    # y is the image of pair 0 under the prefix that c ends
+    last, doomed = k - 1, space.doomed
+    word = [0] * last
+    stack = [(0, c, step[c][0]) for c in reversed(range(space.width))]
+    while stack:
+        depth, c, y = stack.pop()
+        if doomed >> y & 1:
+            continue
+        word[depth] = c
+        depth += 1
+        if depth < last:
+            stack.extend((depth, d, step[d][y]) for d in reversed(range(space.width)))
+            continue
+        orbit = 1  # pair 0; y is its image under the whole word
         while not orbit >> y & 1:
             orbit |= 1 << y
             for c in word:
@@ -477,11 +501,14 @@ def synth_min_distinguishing(a1: Dfa, a2: Dfa, k_max: int, k_min: int = 1) -> Sy
     if not 1 <= k_min <= k_max:
         raise ValueError(f"need 1 <= k_min <= k_max, got k_min={k_min}, k_max={k_max}")
     m1, m2 = a1.minimize(), a2.minimize()
-    first = _PairSpace(m1, m2)
-    spaces = ((Orientation.FIRST, first), (Orientation.SECOND, _PairSpace(m2, m1, first)))
     # no goal pair: the target language is inside the other, so no
     # subset of it can escape; skip the orientation outright
-    prepared = [(orientation, space) for orientation, space in spaces if space.goal]
+    first = _PairSpace(m1, m2)
+    prepared = [(Orientation.FIRST, first)] if first.goal else []
+    # the second orientation's goal pairs are the first space's pairs
+    # where m2 accepts and m1 rejects; without one its space is not built
+    if any(s2 in m2.accepting and s1 not in m1.accepting for s1, s2 in first.pairs):
+        prepared.append((Orientation.SECOND, _PairSpace(m2, m1, first)))
     if not prepared:  # equal languages: no budget can help
         return SynthOutcome(None, None, k_max)
     for k in range(k_min, k_max + 1):

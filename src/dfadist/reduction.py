@@ -69,28 +69,46 @@ def assignment_word(assignment: Assignment) -> Word:
 def build_lower_dfa(k: int, n: int) -> Dfa:
     """Minimal complete DFA of the lower language over ``01#``.
 
-    Grid construction: (block, position-in-block) states plus one state
-    for "all n blocks read" and a rejecting sink; at most n(k+1) + 2
-    states, minimized before returning.
+    Grid construction: one state per (block i, position p in block),
+    grid position g = i(k+1) + p, plus a state for "all n blocks read"
+    and a rejecting sink; n(k+1) + 2 states in all.  They are numbered
+    as ``Dfa.minimize`` numbers its output, in BFS order: grid position
+    g gets id g for g < 2 and g+1 otherwise, the sink gets id 2 (the
+    ``#`` from the start reaches it), and the state after all n blocks,
+    reached from the last grid position, gets id n(k+1) + 1.
+
+    The grid is minimal, so it is marked as ``minimize`` marks its
+    output and never refined again:
+
+    - every state is reachable: the grid states and the state after all
+      n blocks along (0^k#)^n, the sink by ``#``;
+    - two grid states differ in how many bits are left before the next
+      ``#`` (from position p, exactly k - p) or, at the same position,
+      in how many blocks are left (words read on from block i hold at
+      most n - i ``#``s, and 0^k# repeated reaches that many);
+    - the state after all n blocks accepts only the empty word, while
+      every grid state accepts a nonempty word;
+    - the sink accepts nothing.
     """
     if k < 1 or n < 1:
         raise FormulaError(f"need k >= 1 and n >= 1, got k={k}, n={n}")
     span = k + 1
-    final = n * span
-    sink = final + 1
+    sink = 2
+
+    def ident(g: int) -> int:
+        """State id of grid position g; g = n(k+1) is "all n blocks read"."""
+        return g if g < 2 else g + 1
+
     delta = []
-    for i in range(n):
-        for p in range(span):
-            base = i * span
-            if p < k:
-                delta.append((base + p + 1, base + p + 1, sink))
-            else:
-                after = base + span if i + 1 < n else final
-                delta.append((sink, sink, after))
-    delta.append((sink, sink, sink))  # final
-    delta.append((sink, sink, sink))  # sink
-    accepting = {i * span for i in range(n)} | {final}
-    return Dfa(REDUCTION_ALPHABET, delta, 0, accepting).minimize()
+    for g in range(n * span):
+        after = ident(g + 1)  # the next position, or the next block after '#'
+        delta.append((after, after, sink) if g % span < k else (sink, sink, after))
+    delta.append((sink, sink, sink))  # all n blocks read
+    delta.insert(sink, (sink, sink, sink))  # the sink's row, at its id
+    accepting = {ident(i * span) for i in range(n + 1)}
+    lower = Dfa(REDUCTION_ALPHABET, delta, 0, accepting)
+    object.__setattr__(lower, "_minimal", True)
+    return lower
 
 
 def build_upper_dfa(formula: CnfFormula, lower: Dfa) -> Dfa:

@@ -21,7 +21,7 @@ from dfadist.automata import (
     _require_same_alphabet,
     is_equivalent,
 )
-from dfadist.distinguish import Orientation, SynthOutcome
+from dfadist.distinguish import Orientation, SynthOutcome, _loop_dfa
 from dfadist.reduction import CnfFormula
 
 
@@ -245,6 +245,46 @@ def brute_force_min_distinguishing(a1: Dfa, a2: Dfa, k_max: int) -> SynthOutcome
                     orientation = Orientation.FIRST if inside1 else Orientation.SECOND
                     return SynthOutcome(dfa, orientation, k)
     return SynthOutcome(None, None, k_max)
+
+
+def lower_grid_reference(k: int, n: int) -> Dfa:
+    """The lower language's grid, numbered as built and not minimized:
+    state i(k+1) + p is block i, position p; then the state after all n
+    blocks and the sink.  Reference for ``build_lower_dfa``."""
+    span = k + 1
+    final = n * span
+    sink = final + 1
+    delta = []
+    for i in range(n):
+        for p in range(span):
+            base = i * span
+            if p < k:
+                delta.append((base + p + 1, base + p + 1, sink))
+            else:
+                after = base + span if i + 1 < n else final
+                delta.append((sink, sink, after))
+    delta.append((sink, sink, sink))  # final
+    delta.append((sink, sink, sink))  # sink
+    accepting = {i * span for i in range(n)} | {final}
+    return Dfa("01#", delta, 0, accepting)
+
+
+def cycle_candidate_reference(k: int, space) -> Dfa | None:
+    """The loop pre-pass by plain enumeration: every word of k-1 letters
+    in ``itertools.product`` order, no prefix cut.  Reference for
+    ``distinguish._cycle_candidate``."""
+    alphabet, step, goal, bad = space.alphabet, space.step, space.goal, space.bad
+    if k == 1:
+        return _loop_dfa(alphabet, "") if goal and not bad else None
+    for word in itertools.product(range(space.width), repeat=k - 1):
+        orbit = y = 0
+        while not orbit >> y & 1:
+            orbit |= 1 << y
+            for c in word:
+                y = step[c][y]
+        if orbit & goal and not orbit & bad:
+            return _loop_dfa(alphabet, "".join(alphabet.symbols[c] for c in word))
+    return None
 
 
 def dead_states(dfa: Dfa) -> set[int]:

@@ -35,6 +35,7 @@ from support import (
     all_words,
     battery_formulas,
     brute_force_min_distinguishing,
+    cycle_candidate_reference,
     dead_states,
     escape_reference,
     hard_pair_battery,
@@ -247,6 +248,26 @@ def test_cycle_candidate_matches_loop_semantics():
                         expected = loop
                         break
                 assert _cycle_candidate(k, space) == expected
+
+
+def test_cycle_candidate_matches_the_unpruned_walk():
+    # cutting prefixes that reach a doomed pair keeps the lexicographic
+    # order: the same loop as enumerating every word, on random formulas
+    # and both orientations of their reduction pairs
+    rng = random.Random(23)
+    for _ in range(40):
+        k = rng.randint(1, 4)
+        clauses = [
+            [rng.choice((1, -1)) * rng.randint(1, k) for _ in range(rng.randint(1, k))]
+            for _ in range(rng.randint(1, 3))
+        ]
+        formula = CnfFormula(k, clauses)
+        lower = build_lower_dfa(k, formula.clause_count)
+        upper = build_upper_dfa(formula, lower)
+        for target, other in ((upper, lower), (lower, upper)):
+            space = _PairSpace(target, other)
+            for budget in range(1, k + 4):
+                assert _cycle_candidate(budget, space) == cycle_candidate_reference(budget, space)
 
 
 def test_synth_example_pair_two_states(example_a, example_b):
@@ -495,19 +516,36 @@ def test_synth_caches_no_doomed_pair_set(built_spaces):
 def test_synth_spaces_doom_exactly_the_dead_pairs(built_spaces):
     # synthesis minimizes its inputs, so the rejecting-sink rule finds
     # every pair whose target state can reach no accepting state
-    cases = list(battery_cases())
-    cases += [(a, b, 4) for a, b in random_pair_battery() + hard_pair_battery()]
+    battery = list(battery_cases())
+    cases = battery + [(a, b, 4) for a, b in random_pair_battery() + hard_pair_battery()]
+    per_case = []
     for a1, a2, budget in cases:
+        built_spaces.clear()
         synth_min_distinguishing(a1, a2, budget)
-    assert len(built_spaces) == 2 * len(cases)
-    assert all(s.doomed == dead_pairs(t, o) for s, t, o in built_spaces)
-    assert sum(s.doomed != 0 for s, _, _ in built_spaces) > len(cases)
-    # the second orientation's space borrows the first one's tables and
-    # matches a space built on its own
-    for (first, _, _), (second, t, o) in zip(built_spaces[::2], built_spaces[1::2]):
-        assert second.step is first.step and second.bit is first.bit
-        alone = _PairSpace(t, o)
-        assert (second.step, second.bad, second.goal) == (alone.step, alone.bad, alone.goal)
+        m1, m2 = a1.minimize(), a2.minimize()
+        (first, t, o), *rest = built_spaces
+        assert (t, o) == (m1, m2)
+        if rest:
+            # the second orientation's space has a goal pair, borrows the
+            # first one's tables and matches a space built on its own
+            ((second, t, o),) = rest
+            assert (t, o) == (m2, m1) and second.goal
+            assert second.step is first.step and second.bit is first.bit
+            alone = _PairSpace(t, o)
+            assert (second.step, second.bad, second.goal) == (alone.step, alone.bad, alone.goal)
+        else:
+            # an orientation without a goal pair is never built
+            assert _PairSpace(m2, m1).goal == 0
+        per_case.append(list(built_spaces))
+    # lower is inside upper: no reduction pair builds its second space
+    assert all(len(built) == 1 for built in per_case[: len(battery)])
+    assert any(len(built) == 2 for built in per_case)
+    spaces = [space for built in per_case for space in built]
+    assert all(s.doomed == dead_pairs(t, o) for s, t, o in spaces)
+    # not vacuously: every upper DFA has a sink (no word of upper starts
+    # with '#'), and so do some of the random pairs' targets
+    assert all(built[0][0].doomed for built in per_case[: len(battery)])
+    assert any(s.doomed for built in per_case[len(battery) :] for s, _, _ in built)
 
 
 def test_synth_battery_answers_and_nodes_are_pinned():

@@ -28,6 +28,7 @@ from support import (
     brute_force_min_distinguishing,
     in_lower_language,
     in_upper_language,
+    lower_grid_reference,
     truth_table_satisfiable,
 )
 
@@ -211,6 +212,19 @@ def test_builders_return_minimized_automata():
     assert lower.minimize() == lower
 
 
+def test_lower_dfa_is_built_minimal():
+    # the grid numbered in BFS order is what refining the plain grid
+    # returns, and a copy without the minimal flag refines to itself
+    for k in range(1, 9):
+        for n in range(1, 9):
+            lower = build_lower_dfa(k, n)
+            assert lower == lower_grid_reference(k, n).minimize()
+            assert lower.state_count == n * (k + 1) + 2
+            assert lower.minimize() is lower
+            copy = Dfa(lower.alphabet, lower.delta, lower.initial, lower.accepting)
+            assert copy.minimize() == lower
+
+
 # ---------------------------------------------------------------------
 # witness automaton
 # ---------------------------------------------------------------------
@@ -308,13 +322,13 @@ def test_verify_lemma_builds_and_minimizes_each_automaton_once(monkeypatch):
 
     monkeypatch.setattr(reduction, "build_lower_dfa", counting_lower)
     monkeypatch.setattr(automata, "_hopcroft", counting_hopcroft)
-    # refuted: the lower and the upper DFA are refined once each, and
-    # synthesis takes both as already minimal
+    # refuted: the lower DFA is built minimal, the upper DFA is refined
+    # once, and synthesis takes both as already minimal
     verify_lemma(CnfFormula(1, [(1,), (-1,)]))
-    assert calls == {"lower": 1, "hopcroft": 2}
+    assert calls == {"lower": 1, "hopcroft": 1}
     # found: plus the synthesized candidate
     verify_lemma(CnfFormula(1, [(1,)]))
-    assert calls == {"lower": 2, "hopcroft": 5}
+    assert calls == {"lower": 2, "hopcroft": 3}
 
 
 def test_verify_lemma_two_variable_case():
@@ -398,10 +412,13 @@ def test_found_distinguishers_have_exactly_k_plus_two_states(formula):
     [
         (CnfFormula(5, [(5,)]), 7),
         (CnfFormula(8, [(1, -2, 3), (-4, 5, 8), (-1, 6, -7)]), 10),
+        # satisfied only by all ones, the lexicographically last loop
+        (CnfFormula(13, [(v,) for v in range(1, 14)]), 15),
     ],
 )
 def test_verify_lemma_large_satisfiable_formula_takes_no_search(formula, expected):
-    # refuting budget 6 alone took 138 s on 5-var [(5,)]
+    # refuting budget 6 alone took 138 s on 5-var [(5,)], and the loop
+    # pre-pass walked all 3^14 words of 14 letters on x1 ∧ … ∧ x13 (2-4 s)
     started = time.perf_counter()
     report = verify_lemma(formula)
     elapsed = time.perf_counter() - started
