@@ -11,7 +11,6 @@ from .automata import (
     is_equivalent,
     is_subset,
     parse_dfa,
-    product,
     serialize_dfa,
 )
 from .distinguish import (
@@ -61,7 +60,6 @@ __all__ = [
     "is_subset",
     "parse_dfa",
     "parse_dimacs",
-    "product",
     "serialize_dfa",
     "shortest_distinguishing_word",
     "solve",

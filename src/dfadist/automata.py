@@ -5,9 +5,8 @@ construction, so every operation can assume a complete DFA.  Provides:
 
 - immutable ``Dfa`` values with run/accept simulation
 - one early-exit BFS over the state pairs two automata reach together,
-  behind the product (reachable pairs only), inclusion and equivalence;
-  it can stop at the first witness pair and rebuild its word from parent
-  pointers
+  behind inclusion and equivalence; it stops at the first witness pair
+  and can rebuild its word from parent pointers
 - Hopcroft minimization, its blocks numbered in BFS order
 - the line-based ``.dfa`` text format and Graphviz DOT export
 """
@@ -89,8 +88,8 @@ class Dfa:
     delta: tuple[tuple[int, ...], ...]
     initial: int
     accepting: frozenset[int]
-    # set only on minimize's output and on reduction.build_lower_dfa's,
-    # which is minimal by construction: each is its own minimization
+    # set only on minimize's output and on reduction.build_lower_dfa's and
+    # build_upper_dfa's, minimal by construction: each is its own minimization
     _minimal: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -276,19 +275,6 @@ def _pair_search(
             row.append(j)
         rows.append(row)
     return pairs, rows, None
-
-
-def product(a: Dfa, b: Dfa, combine: Callable[[bool, bool], bool]) -> Dfa:
-    """Reachable product automaton; acceptance is ``combine`` of the parts.
-
-    Only pairs reachable from the pair of initial states are
-    materialized, indexed in BFS discovery order.
-    """
-    pairs, rows, _ = _pair_search(a, b)
-    accepting = {
-        i for i, (s, t) in enumerate(pairs) if combine(s in a.accepting, t in b.accepting)
-    }
-    return Dfa(a.alphabet, rows, 0, accepting)
 
 
 def is_subset(a: Dfa, b: Dfa) -> bool:

@@ -18,11 +18,10 @@ repeated forever is such a small distinguisher.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from .automata import Alphabet, Dfa, Word, product
+from .automata import Alphabet, Dfa, Word
 from .distinguish import SynthOutcome, _loop_dfa, is_distinguishing, synth_min_distinguishing
 from .satsolve import CnfInstance, Model, evaluate, solve
 
@@ -66,6 +65,27 @@ def assignment_word(assignment: Assignment) -> Word:
     return "".join("1" if bit else "0" for bit in assignment)
 
 
+def _grid_id(g: int) -> int:
+    """Lower-DFA state id of grid position g; g = n(k+1) is "all n blocks read"."""
+    return g if g < 2 else g + 1
+
+
+_LOWER_SINK = 2  # the lower DFA's rejecting sink, reached by '#' from the start
+
+
+def _lower_table(k: int, n: int) -> tuple[list[tuple[int, int, int]], set[int]]:
+    """Rows and accepting states of ``build_lower_dfa(k, n)``."""
+    span = k + 1
+    sink = _LOWER_SINK
+    delta = []
+    for g in range(n * span):
+        after = _grid_id(g + 1)  # the next position, or the next block after '#'
+        delta.append((after, after, sink) if g % span < k else (sink, sink, after))
+    delta.append((sink, sink, sink))  # all n blocks read
+    delta.insert(sink, (sink, sink, sink))  # the sink's row, at its id
+    return delta, {_grid_id(i * span) for i in range(n + 1)}
+
+
 def build_lower_dfa(k: int, n: int) -> Dfa:
     """Minimal complete DFA of the lower language over ``01#``.
 
@@ -92,55 +112,110 @@ def build_lower_dfa(k: int, n: int) -> Dfa:
     """
     if k < 1 or n < 1:
         raise FormulaError(f"need k >= 1 and n >= 1, got k={k}, n={n}")
-    span = k + 1
-    sink = 2
-
-    def ident(g: int) -> int:
-        """State id of grid position g; g = n(k+1) is "all n blocks read"."""
-        return g if g < 2 else g + 1
-
-    delta = []
-    for g in range(n * span):
-        after = ident(g + 1)  # the next position, or the next block after '#'
-        delta.append((after, after, sink) if g % span < k else (sink, sink, after))
-    delta.append((sink, sink, sink))  # all n blocks read
-    delta.insert(sink, (sink, sink, sink))  # the sink's row, at its id
-    accepting = {ident(i * span) for i in range(n + 1)}
+    delta, accepting = _lower_table(k, n)
     lower = Dfa(REDUCTION_ALPHABET, delta, 0, accepting)
     object.__setattr__(lower, "_minimal", True)
     return lower
 
 
-def build_upper_dfa(formula: CnfFormula, lower: Dfa) -> Dfa:
-    """Minimal complete DFA of the upper language, from the formula's lower DFA.
+# kinds of upper-DFA state: a lower state; block i at position p with
+# clause i satisfied, or not yet satisfied; after n satisfying blocks
+_LOWER, _SAT, _OPEN, _ALL = range(4)
 
-    The satisfying-prefix automaton tracks (block, position,
-    clause-already-satisfied) while every completed block has satisfied
-    its clause, rejects once one fails, and jumps to an all-accepting
-    absorbing state after n satisfying blocks.  The upper DFA is its
-    union with the lower DFA: the product, minimized.
+
+def build_upper_dfa(formula: CnfFormula, lower: Dfa) -> Dfa:
+    """Minimal complete DFA of the upper language, in ``minimize``'s numbering.
+
+    ``lower`` must be ``build_lower_dfa(k, n)`` for the formula's k
+    variables and n clauses; any other DFA raises ``FormulaError``.
+
+    The upper language is the union of the lower one with the
+    satisfying-prefix language: words whose first n blocks satisfy
+    clause 1..n respectively, followed by anything.  Reading a word
+    through both, the union's state is a pair: a prefix state
+    (block i, position p, clause i satisfied or not) with the lower
+    grid state (i, p), or a lower state alone once a block failed its
+    clause, or the state after n satisfying blocks.  These pairs fall
+    into language-equivalence classes as follows:
+
+    - a satisfied (i, p) is its own class: it accepts words of more than
+      n blocks (nonempty clauses are satisfiable), no lower state does;
+    - an unsatisfied (i, p) whose clause has no literal over a variable
+      > p can no longer satisfy it, so it is lower state (i, p);
+    - an unsatisfied (i, p) whose clause holds both x and -x for some
+      variable x > p satisfies it whatever bits follow, so it is the
+      satisfied (i, p);
+    - any other unsatisfied (i, p) is its own class: its clause can
+      still be satisfied (a literal over a variable > p), so it accepts
+      words of more than n blocks, and the bits that set every literal
+      over variables > p false (no two clash) followed by ``#`` fail it,
+      which the satisfied (i, p) does not;
+    - every state after n satisfying blocks accepts everything;
+    - classes at different positions or blocks differ as the lower grid
+      states do (bits left before the next ``#``, blocks left to read).
+
+    The automaton of these classes is therefore minimal.  Its states are
+    numbered by one BFS from the start in alphabet order, the numbering
+    ``minimize`` gives, so it is marked as ``minimize`` marks its output.
     """
     k, n = formula.var_count, formula.clause_count
+    lower_rows, lower_accepting = _lower_table(k, n)
+    if (
+        lower.alphabet.symbols != REDUCTION_ALPHABET
+        or lower.initial != 0
+        or lower.delta != tuple(lower_rows)
+        or lower.accepting != lower_accepting
+    ):
+        raise FormulaError(f"lower is not the lower DFA for k={k} and n={n}")
     span = k + 1
-    # state (block i, position p, clause i satisfied) is 2 * (i * span + p) + sat;
-    # the start of block n is the accepting absorbing state
-    absorb = 2 * n * span
-    sink = absorb + 1
+    clauses = formula.clauses
+    # per clause: its largest variable, and its largest variable with both literals
+    top = [max(map(abs, clause)) for clause in clauses]
+    both = [max((x for x in clause if -x in clause), default=0) for clause in clauses]
+    dead = (_LOWER, _LOWER_SINK)
+
+    def unsatisfied(g: int) -> tuple[int, int]:
+        """The class of the unsatisfied prefix state at grid position g."""
+        i, p = divmod(g, span)
+        if p >= top[i]:
+            return (_LOWER, _grid_id(g))
+        return (_SAT, g) if p < both[i] else (_OPEN, g)
+
+    start = unsatisfied(0)
+    ids = {start: 0}
+    order = [start]
     delta = []
-    for i, clause in enumerate(formula.clauses):
-        for p in range(span):
-            after = 2 * (i * span + p + 1)  # next position, or the next block after '#'
-            for sat in (False, True):
-                if p < k:
-                    on_zero = after + (sat or -(p + 1) in clause)
-                    on_one = after + (sat or (p + 1) in clause)
-                    delta.append((on_zero, on_one, sink))
-                else:
-                    delta.append((sink, sink, after if sat else sink))
-    delta.append((absorb, absorb, absorb))
-    delta.append((sink, sink, sink))
-    prefix = Dfa(REDUCTION_ALPHABET, delta, 0, {absorb})
-    return product(prefix, lower, operator.or_).minimize()
+    for kind, x in order:  # x: a lower state id, or a grid position
+        if kind == _LOWER:
+            succ = [(_LOWER, t) for t in lower_rows[x]]
+        elif kind == _ALL:
+            succ = [(_ALL, 0)] * 3
+        else:
+            i, p = divmod(x, span)
+            sat = (_SAT, x + 1)
+            if p == k:  # an unsatisfied block is a lower state here
+                succ = [dead, dead, unsatisfied(x + 1) if i + 1 < n else (_ALL, 0)]
+            elif kind == _SAT:
+                succ = [sat, sat, dead]
+            else:  # the next bit sets variable p + 1
+                clause, later = clauses[i], unsatisfied(x + 1)
+                succ = [sat if -p - 1 in clause else later, sat if p + 1 in clause else later, dead]
+        row = []
+        for key in succ:
+            j = ids.get(key)
+            if j is None:
+                j = ids[key] = len(order)
+                order.append(key)
+            row.append(j)
+        delta.append(row)
+    accepting = {
+        j
+        for j, (kind, x) in enumerate(order)
+        if kind == _ALL or (x in lower_accepting if kind == _LOWER else x % span == 0)
+    }
+    upper = Dfa(REDUCTION_ALPHABET, delta, 0, accepting)
+    object.__setattr__(upper, "_minimal", True)
+    return upper
 
 
 def witness_dfa(assignment: Assignment) -> Dfa:

@@ -9,7 +9,9 @@ agreement is meaningful.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
+from typing import Callable
 
 from dfadist.automata import (
     _COMMENT_CHAR,
@@ -18,11 +20,12 @@ from dfadist.automata import (
     Dfa,
     DfaParseError,
     Word,
+    _pair_search,
     _require_same_alphabet,
     is_equivalent,
 )
 from dfadist.distinguish import Orientation, SynthOutcome, _loop_dfa
-from dfadist.reduction import CnfFormula
+from dfadist.reduction import REDUCTION_ALPHABET, CnfFormula
 
 
 def all_words(alphabet: str, max_len: int):
@@ -267,6 +270,51 @@ def lower_grid_reference(k: int, n: int) -> Dfa:
     delta.append((sink, sink, sink))  # sink
     accepting = {i * span for i in range(n)} | {final}
     return Dfa("01#", delta, 0, accepting)
+
+
+def product(a: Dfa, b: Dfa, combine: Callable[[bool, bool], bool]) -> Dfa:
+    """Reachable product automaton; acceptance is ``combine`` of the parts.
+
+    Only pairs reachable from the pair of initial states are
+    materialized, indexed in BFS discovery order.
+    """
+    pairs, rows, _ = _pair_search(a, b)
+    accepting = {
+        i for i, (s, t) in enumerate(pairs) if combine(s in a.accepting, t in b.accepting)
+    }
+    return Dfa(a.alphabet, rows, 0, accepting)
+
+
+def upper_reference(formula: CnfFormula, lower: Dfa) -> Dfa:
+    """The upper DFA as the minimized union of the satisfying-prefix
+    automaton with ``lower``.  Reference for ``build_upper_dfa``.
+
+    The prefix automaton tracks (block, position, clause-already-satisfied)
+    while every completed block has satisfied its clause, rejects once
+    one fails, and jumps to an all-accepting absorbing state after n
+    satisfying blocks.
+    """
+    k, n = formula.var_count, formula.clause_count
+    span = k + 1
+    # state (block i, position p, clause i satisfied) is 2 * (i * span + p) + sat;
+    # the start of block n is the accepting absorbing state
+    absorb = 2 * n * span
+    sink = absorb + 1
+    delta = []
+    for i, clause in enumerate(formula.clauses):
+        for p in range(span):
+            after = 2 * (i * span + p + 1)  # next position, or the next block after '#'
+            for sat in (False, True):
+                if p < k:
+                    on_zero = after + (sat or -(p + 1) in clause)
+                    on_one = after + (sat or (p + 1) in clause)
+                    delta.append((on_zero, on_one, sink))
+                else:
+                    delta.append((sink, sink, after if sat else sink))
+    delta.append((absorb, absorb, absorb))
+    delta.append((sink, sink, sink))
+    prefix = Dfa(REDUCTION_ALPHABET, delta, 0, {absorb})
+    return product(prefix, lower, operator.or_).minimize()
 
 
 def cycle_candidate_reference(k: int, space) -> Dfa | None:

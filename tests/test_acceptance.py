@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from dfadist.automata import Dfa, is_equivalent, is_subset, product
+from dfadist.automata import Dfa, is_equivalent, is_subset
 from dfadist.distinguish import (
     is_distinguishing,
     shortest_distinguishing_word,
@@ -37,6 +37,7 @@ from support import (
     in_lower_language,
     in_upper_language,
     nerode_class_count_oracle,
+    product,
     random_dfa,
     truth_table_satisfiable,
 )

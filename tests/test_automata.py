@@ -12,7 +12,6 @@ from dfadist.automata import (
     is_equivalent,
     is_subset,
     parse_dfa,
-    product,
     serialize_dfa,
 )
 from dfadist.distinguish import shortest_distinguishing_word
@@ -23,6 +22,7 @@ from support import (
     language_up_to,
     nerode_class_count_oracle,
     permuted_copy,
+    product,
     random_dfa,
     states_pairwise_distinguishable,
 )

@@ -178,6 +178,17 @@ def test_reduce_writes_pair_and_counts(workdir, capsys):
     assert parse_dfa(up.read_text()).state_count == 6
 
 
+@pytest.mark.parametrize("name", ["unit_pos", "contradiction", "tautology"])
+def test_reduce_output_is_pinned(name, data_dir, tmp_path, capsys):
+    # byte for byte the pair that the minimized-product construction
+    # (support.upper_reference) wrote for these formulas
+    up, low = tmp_path / "up.dfa", tmp_path / "low.dfa"
+    code, _, _ = run(capsys, "reduce", data_dir / f"{name}.cnf", up, low)
+    assert code == 0
+    assert up.read_bytes() == (data_dir / f"{name}.upper.dfa").read_bytes()
+    assert low.read_bytes() == (data_dir / f"{name}.lower.dfa").read_bytes()
+
+
 def test_reduce_builds_the_lower_dfa_once(workdir, capsys, monkeypatch):
     calls = []
     build_lower = reduction.build_lower_dfa

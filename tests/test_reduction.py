@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 
 import pytest
@@ -30,6 +31,7 @@ from support import (
     in_upper_language,
     lower_grid_reference,
     truth_table_satisfiable,
+    upper_reference,
 )
 
 
@@ -225,6 +227,59 @@ def test_lower_dfa_is_built_minimal():
             assert copy.minimize() == lower
 
 
+def seeded_formulas(seed: int, count: int) -> list[CnfFormula]:
+    """Random formulas with k <= 5 and n <= 4; clauses may repeat a literal,
+    hold both literals of a variable, or repeat an earlier clause."""
+    rng = random.Random(seed)
+    formulas = []
+    for _ in range(count):
+        k, n = rng.randint(1, 5), rng.randint(1, 4)
+        clauses = []
+        for _ in range(n):
+            if clauses and rng.random() < 0.2:
+                clauses.append(rng.choice(clauses))
+                continue
+            literals = [rng.choice((1, -1)) * rng.randint(1, k) for _ in range(rng.randint(1, k + 1))]
+            if rng.random() < 0.2:
+                x = rng.randint(1, k)
+                literals += [x, -x]
+            clauses.append(tuple(literals))
+        formulas.append(CnfFormula(k, clauses))
+    return formulas
+
+
+def test_upper_dfa_is_built_minimal():
+    # the classes built directly are what minimizing the union of the
+    # satisfying-prefix automaton with the lower DFA returns, numbering
+    # included, and a copy without the minimal flag refines to itself
+    for formula in battery_formulas() + seeded_formulas(24, 600):
+        lower = build_lower_dfa(formula.var_count, formula.clause_count)
+        upper = build_upper_dfa(formula, lower)
+        assert upper == upper_reference(formula, lower), formula
+        assert upper.minimize() is upper
+        copy = Dfa(upper.alphabet, upper.delta, upper.initial, upper.accepting)
+        assert copy.minimize() == upper
+
+
+def test_upper_dfa_rejects_another_lower_dfa():
+    phi = CnfFormula(2, [(1,)])
+    lower = build_lower_dfa(2, 1)
+    wrong = [
+        build_lower_dfa(1, 1),  # too few variables
+        build_lower_dfa(2, 2),  # too many clauses
+        Dfa("01#", lower.delta, lower.initial, lower.accepting - {0}),
+        Dfa("01#", lower.delta, 1, lower.accepting),
+        Dfa("10#", lower.delta, lower.initial, lower.accepting),
+        Dfa("01#", [(0, 0, 0)], 0, {0}),
+    ]
+    for other in wrong:
+        with pytest.raises(FormulaError, match="not the lower DFA for k=2 and n=1"):
+            build_upper_dfa(phi, other)
+    # an equal copy is the lower DFA, minimal flag or not
+    copy = Dfa("01#", lower.delta, lower.initial, lower.accepting)
+    assert build_upper_dfa(phi, copy) == build_upper_dfa(phi, lower)
+
+
 # ---------------------------------------------------------------------
 # witness automaton
 # ---------------------------------------------------------------------
@@ -322,13 +377,13 @@ def test_verify_lemma_builds_and_minimizes_each_automaton_once(monkeypatch):
 
     monkeypatch.setattr(reduction, "build_lower_dfa", counting_lower)
     monkeypatch.setattr(automata, "_hopcroft", counting_hopcroft)
-    # refuted: the lower DFA is built minimal, the upper DFA is refined
-    # once, and synthesis takes both as already minimal
+    # refuted: both DFAs are built minimal, and synthesis takes them as
+    # they are, so nothing is refined
     verify_lemma(CnfFormula(1, [(1,), (-1,)]))
-    assert calls == {"lower": 1, "hopcroft": 1}
-    # found: plus the synthesized candidate
+    assert calls == {"lower": 1, "hopcroft": 0}
+    # found: only the synthesized candidate is refined
     verify_lemma(CnfFormula(1, [(1,)]))
-    assert calls == {"lower": 2, "hopcroft": 3}
+    assert calls == {"lower": 2, "hopcroft": 1}
 
 
 def test_verify_lemma_two_variable_case():
