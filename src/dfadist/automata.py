@@ -7,7 +7,9 @@ construction, so every operation can assume a complete DFA.  Provides:
 - one early-exit BFS over the state pairs two automata reach together,
   behind inclusion and equivalence; it stops at the first witness pair
   and can rebuild its word from parent pointers
-- Hopcroft minimization, its blocks numbered in BFS order
+- Hopcroft minimization, its blocks numbered in BFS order, and
+  ``_canonical_dfa``, which numbers the states of an automaton minimal
+  by construction the same way
 - the line-based ``.dfa`` text format and Graphviz DOT export
 """
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from operator import itemgetter
-from typing import Callable, NoReturn
+from typing import Callable, Hashable, NoReturn, Sequence
 
 Word = str
 
@@ -88,8 +90,8 @@ class Dfa:
     delta: tuple[tuple[int, ...], ...]
     initial: int
     accepting: frozenset[int]
-    # set only on minimize's output and on reduction.build_lower_dfa's and
-    # build_upper_dfa's, minimal by construction: each is its own minimization
+    # set only on the output of minimize and of _canonical_dfa: each is its
+    # own minimization
     _minimal: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -189,6 +191,37 @@ class Dfa:
                 lines.append(f'  {q} -> {t} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _canonical_dfa(
+    alphabet: str | Alphabet,
+    start: Hashable,
+    successors: Callable[[Hashable], Sequence[Hashable]],
+    accepts: Callable[[Hashable], bool],
+) -> Dfa:
+    """DFA of the keys reachable from ``start``, in ``minimize``'s numbering.
+
+    ``successors(key)`` lists a key's successor keys in alphabet order.
+    The keys are numbered in breadth-first discovery order from
+    ``start``, which is how ``minimize`` numbers its blocks.  The caller
+    vouches that distinct keys have distinct languages: the result is
+    then its own minimization, and it is marked so.
+    """
+    ids = {start: 0}
+    order = [start]
+    delta = []
+    for key in order:
+        row = []
+        for succ in successors(key):
+            j = ids.get(succ)
+            if j is None:
+                j = ids[succ] = len(order)
+                order.append(succ)
+            row.append(j)
+        delta.append(row)
+    dfa = Dfa(alphabet, delta, 0, [j for j, key in enumerate(order) if accepts(key)])
+    object.__setattr__(dfa, "_minimal", True)
+    return dfa
 
 
 def _hopcroft(dfa: Dfa, reachable: list[int]) -> list[int]:

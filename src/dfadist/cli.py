@@ -54,7 +54,7 @@ def _load_cnf(path: str) -> CnfFormula:
 def _cmd_reduce(args: argparse.Namespace) -> int:
     formula = _load_cnf(args.cnf)
     lower = build_lower_dfa(formula.var_count, formula.clause_count)
-    upper = build_upper_dfa(formula, lower)
+    upper = build_upper_dfa(formula)
     out_upper = Path(args.out_upper)
     out_upper.write_text(serialize_dfa(upper), encoding="utf-8")
     try:

@@ -90,23 +90,14 @@ class _PairSpace:
     ``step_set`` ORs those over a set, one pair at a time (the spaces
     synthesis meets hold tens of pairs).  Only ``escape_possible`` reads
     or writes its cache of answers per mask.
-
-    ``mirror``, a space built for the other orientation (``other``
-    against ``target``), lends its ``step`` and ``bit`` tables:
-    ``_pair_search`` numbers the swapped pairs in the same order, so
-    only the masks, the cache and the node count are this space's own.
     """
 
-    def __init__(self, target: Dfa, other: Dfa, mirror: _PairSpace | None = None):
+    def __init__(self, target: Dfa, other: Dfa):
         self.alphabet = target.alphabet
         self.width = width = len(target.alphabet)
-        if mirror is None:
-            pairs, rows, _ = _pair_search(target, other)
-            self.step = [[rows[y][c] for y in range(len(pairs))] for c in range(width)]
-            self.bit = [[1 << t for t in row] for row in self.step]
-        else:
-            pairs = [(t, x) for x, t in mirror.pairs]
-            self.step, self.bit = mirror.step, mirror.bit
+        pairs, rows, _ = _pair_search(target, other)
+        self.step = [[rows[y][c] for y in range(len(pairs))] for c in range(width)]
+        self.bit = [[1 << t for t in row] for row in self.step]
         self.pairs = pairs  # (t, x) per pair number
         accepting = target.accepting
         # the rejecting sink: a minimized target has at most one
@@ -508,7 +499,7 @@ def synth_min_distinguishing(a1: Dfa, a2: Dfa, k_max: int, k_min: int = 1) -> Sy
     # the second orientation's goal pairs are the first space's pairs
     # where m2 accepts and m1 rejects; without one its space is not built
     if any(s2 in m2.accepting and s1 not in m1.accepting for s1, s2 in first.pairs):
-        prepared.append((Orientation.SECOND, _PairSpace(m2, m1, first)))
+        prepared.append((Orientation.SECOND, _PairSpace(m2, m1)))
     if not prepared:  # equal languages: no budget can help
         return SynthOutcome(None, None, k_max)
     for k in range(k_min, k_max + 1):

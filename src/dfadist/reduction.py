@@ -21,11 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .automata import Alphabet, Dfa, Word
+from .automata import Alphabet, Dfa, Word, _canonical_dfa
 from .distinguish import SynthOutcome, _loop_dfa, is_distinguishing, synth_min_distinguishing
 from .satsolve import CnfInstance, Model, evaluate, solve
 
 REDUCTION_ALPHABET = "01#"
+_ALPHABET = Alphabet(REDUCTION_ALPHABET)  # checked once, shared by every reduction DFA
 
 
 class FormulaError(ValueError):
@@ -65,25 +66,17 @@ def assignment_word(assignment: Assignment) -> Word:
     return "".join("1" if bit else "0" for bit in assignment)
 
 
-def _grid_id(g: int) -> int:
-    """Lower-DFA state id of grid position g; g = n(k+1) is "all n blocks read"."""
-    return g if g < 2 else g + 1
+def _lower_grid(k: int, n: int) -> tuple[list[tuple[int, int, int]], range]:
+    """The lower language's grid: successor rows by key, and accepting keys.
 
-
-_LOWER_SINK = 2  # the lower DFA's rejecting sink, reached by '#' from the start
-
-
-def _lower_table(k: int, n: int) -> tuple[list[tuple[int, int, int]], set[int]]:
-    """Rows and accepting states of ``build_lower_dfa(k, n)``."""
+    Key g = i(k+1) + p is position p of block i, for g < n(k+1); key
+    n(k+1) is "all n blocks read"; the rejecting sink is key -1, the
+    last row.  The accepting keys are the block starts.
+    """
     span = k + 1
-    sink = _LOWER_SINK
-    delta = []
-    for g in range(n * span):
-        after = _grid_id(g + 1)  # the next position, or the next block after '#'
-        delta.append((after, after, sink) if g % span < k else (sink, sink, after))
-    delta.append((sink, sink, sink))  # all n blocks read
-    delta.insert(sink, (sink, sink, sink))  # the sink's row, at its id
-    return delta, {_grid_id(i * span) for i in range(n + 1)}
+    rows = [(g + 1, g + 1, -1) if g % span < k else (-1, -1, g + 1) for g in range(n * span)]
+    rows += [(-1, -1, -1)] * 2  # all n blocks read, then the sink
+    return rows, range(0, n * span + 1, span)
 
 
 def build_lower_dfa(k: int, n: int) -> Dfa:
@@ -91,14 +84,10 @@ def build_lower_dfa(k: int, n: int) -> Dfa:
 
     Grid construction: one state per (block i, position p in block),
     grid position g = i(k+1) + p, plus a state for "all n blocks read"
-    and a rejecting sink; n(k+1) + 2 states in all.  They are numbered
-    as ``Dfa.minimize`` numbers its output, in BFS order: grid position
-    g gets id g for g < 2 and g+1 otherwise, the sink gets id 2 (the
-    ``#`` from the start reaches it), and the state after all n blocks,
-    reached from the last grid position, gets id n(k+1) + 1.
+    and a rejecting sink; n(k+1) + 2 states in all.
 
-    The grid is minimal, so it is marked as ``minimize`` marks its
-    output and never refined again:
+    The grid is minimal, so ``_canonical_dfa`` numbers it as ``minimize``
+    would and marks it, and it is never refined again:
 
     - every state is reachable: the grid states and the state after all
       n blocks along (0^k#)^n, the sink by ``#``;
@@ -112,10 +101,8 @@ def build_lower_dfa(k: int, n: int) -> Dfa:
     """
     if k < 1 or n < 1:
         raise FormulaError(f"need k >= 1 and n >= 1, got k={k}, n={n}")
-    delta, accepting = _lower_table(k, n)
-    lower = Dfa(REDUCTION_ALPHABET, delta, 0, accepting)
-    object.__setattr__(lower, "_minimal", True)
-    return lower
+    rows, starts = _lower_grid(k, n)
+    return _canonical_dfa(_ALPHABET, 0, rows.__getitem__, starts.__contains__)
 
 
 # kinds of upper-DFA state: a lower state; block i at position p with
@@ -123,11 +110,8 @@ def build_lower_dfa(k: int, n: int) -> Dfa:
 _LOWER, _SAT, _OPEN, _ALL = range(4)
 
 
-def build_upper_dfa(formula: CnfFormula, lower: Dfa) -> Dfa:
+def build_upper_dfa(formula: CnfFormula) -> Dfa:
     """Minimal complete DFA of the upper language, in ``minimize``'s numbering.
-
-    ``lower`` must be ``build_lower_dfa(k, n)`` for the formula's k
-    variables and n clauses; any other DFA raises ``FormulaError``.
 
     The upper language is the union of the lower one with the
     satisfying-prefix language: words whose first n blocks satisfy
@@ -154,75 +138,53 @@ def build_upper_dfa(formula: CnfFormula, lower: Dfa) -> Dfa:
     - classes at different positions or blocks differ as the lower grid
       states do (bits left before the next ``#``, blocks left to read).
 
-    The automaton of these classes is therefore minimal.  Its states are
-    numbered by one BFS from the start in alphabet order, the numbering
-    ``minimize`` gives, so it is marked as ``minimize`` marks its output.
+    The automaton of these classes is therefore minimal, so
+    ``_canonical_dfa`` numbers it as ``minimize`` would and marks it.
     """
     k, n = formula.var_count, formula.clause_count
-    lower_rows, lower_accepting = _lower_table(k, n)
-    if (
-        lower.alphabet.symbols != REDUCTION_ALPHABET
-        or lower.initial != 0
-        or lower.delta != tuple(lower_rows)
-        or lower.accepting != lower_accepting
-    ):
-        raise FormulaError(f"lower is not the lower DFA for k={k} and n={n}")
     span = k + 1
+    grid, starts = _lower_grid(k, n)
     clauses = formula.clauses
     # per clause: its largest variable, and its largest variable with both literals
     top = [max(map(abs, clause)) for clause in clauses]
     both = [max((x for x in clause if -x in clause), default=0) for clause in clauses]
-    dead = (_LOWER, _LOWER_SINK)
+    dead = (_LOWER, -1)
 
     def unsatisfied(g: int) -> tuple[int, int]:
         """The class of the unsatisfied prefix state at grid position g."""
         i, p = divmod(g, span)
         if p >= top[i]:
-            return (_LOWER, _grid_id(g))
+            return (_LOWER, g)
         return (_SAT, g) if p < both[i] else (_OPEN, g)
 
-    start = unsatisfied(0)
-    ids = {start: 0}
-    order = [start]
-    delta = []
-    for kind, x in order:  # x: a lower state id, or a grid position
+    def successors(key: tuple[int, int]) -> list[tuple[int, int]]:
+        kind, g = key  # g: a grid key
         if kind == _LOWER:
-            succ = [(_LOWER, t) for t in lower_rows[x]]
-        elif kind == _ALL:
-            succ = [(_ALL, 0)] * 3
-        else:
-            i, p = divmod(x, span)
-            sat = (_SAT, x + 1)
-            if p == k:  # an unsatisfied block is a lower state here
-                succ = [dead, dead, unsatisfied(x + 1) if i + 1 < n else (_ALL, 0)]
-            elif kind == _SAT:
-                succ = [sat, sat, dead]
-            else:  # the next bit sets variable p + 1
-                clause, later = clauses[i], unsatisfied(x + 1)
-                succ = [sat if -p - 1 in clause else later, sat if p + 1 in clause else later, dead]
-        row = []
-        for key in succ:
-            j = ids.get(key)
-            if j is None:
-                j = ids[key] = len(order)
-                order.append(key)
-            row.append(j)
-        delta.append(row)
-    accepting = {
-        j
-        for j, (kind, x) in enumerate(order)
-        if kind == _ALL or (x in lower_accepting if kind == _LOWER else x % span == 0)
-    }
-    upper = Dfa(REDUCTION_ALPHABET, delta, 0, accepting)
-    object.__setattr__(upper, "_minimal", True)
-    return upper
+            return [(_LOWER, t) for t in grid[g]]
+        if kind == _ALL:
+            return [key] * 3
+        i, p = divmod(g, span)
+        sat = (_SAT, g + 1)
+        if p == k:  # an unsatisfied block is a lower state here
+            return [dead, dead, unsatisfied(g + 1) if i + 1 < n else (_ALL, 0)]
+        if kind == _SAT:
+            return [sat, sat, dead]
+        # the next bit sets variable p + 1
+        clause, later = clauses[i], unsatisfied(g + 1)
+        return [sat if -p - 1 in clause else later, sat if p + 1 in clause else later, dead]
+
+    def accepts(key: tuple[int, int]) -> bool:
+        kind, g = key
+        return kind == _ALL or g in starts
+
+    return _canonical_dfa(_ALPHABET, unsatisfied(0), successors, accepts)
 
 
 def witness_dfa(assignment: Assignment) -> Dfa:
     """Exact (k+2)-state DFA of the words repeating ``assignment#`` any
     number of times: a k+1-state loop spelling the assignment block plus
     a rejecting sink."""
-    return _loop_dfa(Alphabet(REDUCTION_ALPHABET), assignment_word(assignment) + "#")
+    return _loop_dfa(_ALPHABET, assignment_word(assignment) + "#")
 
 
 @dataclass(frozen=True)
@@ -298,7 +260,7 @@ def verify_lemma(formula: CnfFormula) -> LemmaReport:
             "solver model failed the clause re-check; this indicates a solver bug"
         )
     lower = build_lower_dfa(k, n)
-    upper = build_upper_dfa(formula, lower)
+    upper = build_upper_dfa(formula)
     if model is not None and not is_distinguishing(witness_dfa(model[:k]), upper, lower):
         raise RuntimeError(
             "witness DFA from the solver model failed the distinguishing re-check; "

@@ -80,7 +80,7 @@ def battery() -> Battery:
         entries.append(
             BatteryEntry(
                 formula=formula,
-                upper=build_upper_dfa(formula, lower),
+                upper=build_upper_dfa(formula),
                 lower=lower,
                 report=report,
             )

@@ -46,3 +46,19 @@ def test_no_function_calls_itself():
                 if name == node.name:
                     recursive.append(f"{path.name}:{node.name}")
     assert recursive == []
+
+
+def test_only_automata_marks_a_dfa_minimal():
+    # the minimal flag lets minimize return its input as it is, so only
+    # the module that numbers minimal automata may set it
+    setters = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__setattr__"
+                and any(isinstance(a, ast.Constant) and a.value == "_minimal" for a in node.args)
+            ):
+                setters.append(path.name)
+    assert setters and set(setters) == {"automata.py"}

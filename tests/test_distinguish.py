@@ -220,7 +220,7 @@ def test_cycle_candidate_tries_only_k_state_loops():
     # synthesis reaches k only after every smaller budget failed
     formula = CnfFormula(1, [(1,)])
     lower = build_lower_dfa(formula.var_count, formula.clause_count)
-    upper = build_upper_dfa(formula, lower)
+    upper = build_upper_dfa(formula)
     space = _PairSpace(upper.minimize(), lower.minimize())
     sizes = []
     for k in range(1, 5):
@@ -263,7 +263,7 @@ def test_cycle_candidate_matches_the_unpruned_walk():
         ]
         formula = CnfFormula(k, clauses)
         lower = build_lower_dfa(k, formula.clause_count)
-        upper = build_upper_dfa(formula, lower)
+        upper = build_upper_dfa(formula)
         for target, other in ((upper, lower), (lower, upper)):
             space = _PairSpace(target, other)
             for budget in range(1, k + 4):
@@ -346,7 +346,7 @@ def test_synth_lower_bound_skips_the_budgets_below_it():
     # budget 5 (pinned per budget below); k_min = 5 enters none of them
     formula = CnfFormula(3, [(1,), (-1,)])
     lower = build_lower_dfa(formula.var_count, formula.clause_count)
-    outcome = synth_min_distinguishing(build_upper_dfa(formula, lower), lower, 5, k_min=5)
+    outcome = synth_min_distinguishing(build_upper_dfa(formula), lower, 5, k_min=5)
     assert outcome == SynthOutcome(None, None, 5)
     assert outcome.nodes == 11
 
@@ -405,7 +405,7 @@ def test_synth_counts_search_nodes():
     # budget 122
     formula = CnfFormula(2, [(1,), (-1,)])
     lower = build_lower_dfa(formula.var_count, formula.clause_count)
-    upper = build_upper_dfa(formula, lower)
+    upper = build_upper_dfa(formula)
     outcome = synth_min_distinguishing(upper, lower, 4)
     assert not outcome.found
     assert outcome.nodes == 9
@@ -430,13 +430,13 @@ def answers_and_nodes(cases):
 def battery_cases():
     for formula in battery_formulas():
         lower = build_lower_dfa(formula.var_count, formula.clause_count)
-        yield build_upper_dfa(formula, lower), lower, formula.var_count + 2
+        yield build_upper_dfa(formula), lower, formula.var_count + 2
 
 
 def test_synth_refutes_three_variable_contradiction_in_pinned_nodes():
     formula = CnfFormula(3, [(1,), (-1,)])
     lower = build_lower_dfa(formula.var_count, formula.clause_count)
-    outcome = synth_min_distinguishing(build_upper_dfa(formula, lower), lower, 5)
+    outcome = synth_min_distinguishing(build_upper_dfa(formula), lower, 5)
     assert not outcome.found
     assert outcome.nodes == 14
 
@@ -446,7 +446,7 @@ def test_synth_nodes_per_budget_are_pinned():
     # by rule, and k = 2..5 refute the 3-var contradiction's first orientation
     formula = CnfFormula(3, [(1,), (-1,)])
     lower = build_lower_dfa(formula.var_count, formula.clause_count)
-    upper = build_upper_dfa(formula, lower)
+    upper = build_upper_dfa(formula)
     space = _PairSpace(upper.minimize(), lower.minimize())
     added = []
     for k in range(1, 6):
@@ -492,8 +492,8 @@ def built_spaces(monkeypatch):
     """Records every pair space synthesis builds, with its target."""
     built = []
 
-    def recording(target, other, mirror=None):
-        built.append((_PairSpace(target, other, mirror), target, other))
+    def recording(target, other):
+        built.append((_PairSpace(target, other), target, other))
         return built[-1][0]
 
     monkeypatch.setattr(distinguish, "_PairSpace", recording)
@@ -523,14 +523,13 @@ def test_synth_spaces_doom_exactly_the_dead_pairs(built_spaces):
         built_spaces.clear()
         synth_min_distinguishing(a1, a2, budget)
         m1, m2 = a1.minimize(), a2.minimize()
-        (first, t, o), *rest = built_spaces
+        (_, t, o), *rest = built_spaces
         assert (t, o) == (m1, m2)
         if rest:
-            # the second orientation's space has a goal pair, borrows the
-            # first one's tables and matches a space built on its own
+            # the second orientation's space has a goal pair and matches
+            # a space built on its own
             ((second, t, o),) = rest
             assert (t, o) == (m2, m1) and second.goal
-            assert second.step is first.step and second.bit is first.bit
             alone = _PairSpace(t, o)
             assert (second.step, second.bad, second.goal) == (alone.step, alone.bad, alone.goal)
         else:
@@ -571,7 +570,7 @@ def test_synth_leaves_no_cyclic_garbage():
     # not left for the cyclic collector
     formula = CnfFormula(2, [(1,), (-1,)])
     lower = build_lower_dfa(formula.var_count, formula.clause_count)
-    upper = build_upper_dfa(formula, lower)
+    upper = build_upper_dfa(formula)
     gc.collect()
     gc.disable()
     try:
@@ -618,7 +617,7 @@ def test_synth_depth_needs_no_recursion():
     # here, minus 1.
     formula = CnfFormula(8, [(1,), (-1,)])
     lower = build_lower_dfa(formula.var_count, formula.clause_count)
-    upper = build_upper_dfa(formula, lower)
+    upper = build_upper_dfa(formula)
 
     def search():
         return synth_min_distinguishing(upper, lower, 10, k_min=10)

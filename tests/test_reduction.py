@@ -173,7 +173,7 @@ def test_lower_dfa_rejects_bad_parameters():
 
 def test_upper_dfa_agrees_with_scan_for_unit_clause():
     phi = CnfFormula(1, [(1,)])
-    upper = build_upper_dfa(phi, build_lower_dfa(1, 1))
+    upper = build_upper_dfa(phi)
     assert upper.accepts("1#00")
     assert not upper.accepts("0#00")
     assert upper.accepts("0#")
@@ -184,7 +184,7 @@ def test_upper_dfa_agrees_with_scan_for_unit_clause():
 def test_upper_dfa_agrees_with_scan_for_tautology_and_repeats():
     # duplicate literals and a tautological clause are legal inputs
     for phi in (CnfFormula(2, [(1, 1, 2)]), CnfFormula(2, [(1, -1), (2,)])):
-        upper = build_upper_dfa(phi, build_lower_dfa(2, phi.clause_count))
+        upper = build_upper_dfa(phi)
         for word in all_words("01#", 7):
             assert upper.accepts(word) == in_upper_language(word, phi)
 
@@ -193,13 +193,13 @@ def test_lower_language_inside_upper():
     for clauses in [[(1,)], [(1, -2), (2,)], [(-1,), (-1,)]]:
         phi = CnfFormula(2, clauses)
         lower = build_lower_dfa(2, len(clauses))
-        assert is_subset(lower, build_upper_dfa(phi, lower))
+        assert is_subset(lower, build_upper_dfa(phi))
 
 
 def test_upper_strictly_larger_for_satisfiable_clauses():
     phi = CnfFormula(1, [(1,)])
     lower = build_lower_dfa(1, 1)
-    upper = build_upper_dfa(phi, lower)
+    upper = build_upper_dfa(phi)
     assert not is_equivalent(upper, lower)
     witness = shortest_distinguishing_word(upper, lower)
     assert witness is not None
@@ -209,7 +209,7 @@ def test_upper_strictly_larger_for_satisfiable_clauses():
 def test_builders_return_minimized_automata():
     phi = CnfFormula(2, [(1,), (-2,)])
     lower = build_lower_dfa(2, 2)
-    upper = build_upper_dfa(phi, lower)
+    upper = build_upper_dfa(phi)
     assert upper.minimize() == upper
     assert lower.minimize() == lower
 
@@ -254,30 +254,11 @@ def test_upper_dfa_is_built_minimal():
     # included, and a copy without the minimal flag refines to itself
     for formula in battery_formulas() + seeded_formulas(24, 600):
         lower = build_lower_dfa(formula.var_count, formula.clause_count)
-        upper = build_upper_dfa(formula, lower)
+        upper = build_upper_dfa(formula)
         assert upper == upper_reference(formula, lower), formula
         assert upper.minimize() is upper
         copy = Dfa(upper.alphabet, upper.delta, upper.initial, upper.accepting)
         assert copy.minimize() == upper
-
-
-def test_upper_dfa_rejects_another_lower_dfa():
-    phi = CnfFormula(2, [(1,)])
-    lower = build_lower_dfa(2, 1)
-    wrong = [
-        build_lower_dfa(1, 1),  # too few variables
-        build_lower_dfa(2, 2),  # too many clauses
-        Dfa("01#", lower.delta, lower.initial, lower.accepting - {0}),
-        Dfa("01#", lower.delta, 1, lower.accepting),
-        Dfa("10#", lower.delta, lower.initial, lower.accepting),
-        Dfa("01#", [(0, 0, 0)], 0, {0}),
-    ]
-    for other in wrong:
-        with pytest.raises(FormulaError, match="not the lower DFA for k=2 and n=1"):
-            build_upper_dfa(phi, other)
-    # an equal copy is the lower DFA, minimal flag or not
-    copy = Dfa("01#", lower.delta, lower.initial, lower.accepting)
-    assert build_upper_dfa(phi, copy) == build_upper_dfa(phi, lower)
 
 
 # ---------------------------------------------------------------------
@@ -303,7 +284,7 @@ def test_witness_distinguishes_for_satisfiable_formula():
     phi = CnfFormula(1, [(1,)])
     wit = witness_dfa([True])
     lower = build_lower_dfa(1, 1)
-    assert is_distinguishing(wit, build_upper_dfa(phi, lower), lower)
+    assert is_distinguishing(wit, build_upper_dfa(phi), lower)
 
 
 @pytest.mark.parametrize("k", range(1, 6))
@@ -326,7 +307,7 @@ def test_verify_lemma_satisfiable_unit():
     assert report.bound == 3
     assert report.consistent
     lower = build_lower_dfa(1, 1)
-    upper = build_upper_dfa(report.formula, lower)
+    upper = build_upper_dfa(report.formula)
     assert is_distinguishing(witness_dfa(report.model[:1]), upper, lower)
     assert evaluate(report.formula, report.model)
 
@@ -339,7 +320,7 @@ def test_verify_lemma_contradiction():
     assert report.model is None
     # independent confirmation that nothing small distinguishes the pair
     lower = build_lower_dfa(1, 2)
-    upper = build_upper_dfa(report.formula, lower)
+    upper = build_upper_dfa(report.formula)
     assert not brute_force_min_distinguishing(upper, lower, 3).found
 
 
@@ -416,7 +397,7 @@ def test_report_render_format_unsatisfiable():
 
 def reduction_pair(formula):
     lower = build_lower_dfa(formula.var_count, formula.clause_count)
-    return build_upper_dfa(formula, lower), lower
+    return build_upper_dfa(formula), lower
 
 
 def test_verify_lemma_matches_the_full_range_search():
