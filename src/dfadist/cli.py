@@ -18,7 +18,6 @@ from pathlib import Path
 
 from .automata import AutomataError, Dfa, is_equivalent, is_subset, parse_dfa, serialize_dfa
 from .distinguish import (
-    Orientation,
     is_distinguishing,
     shortest_distinguishing_word,
     synth_min_distinguishing,

@@ -21,7 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .automata import Alphabet, Dfa, Word, is_subset, _pair_search, _require_same_alphabet
+from .automata import (
+    Alphabet,
+    Dfa,
+    Word,
+    is_subset,
+    _canonical_dfa,
+    _pair_search,
+    _require_same_alphabet,
+)
 
 
 class Orientation(Enum):
@@ -171,19 +179,31 @@ class _PairSpace:
 
 
 def _loop_dfa(alphabet: Alphabet, word: Word) -> Dfa:
-    """DFA of ``word`` repeated any number of times.
+    """DFA of ``word`` repeated any number of times, built minimal.
 
     A cycle spelling the word, one state per position, plus a rejecting
-    sink that takes every other symbol; only state 0 accepts.
+    sink that takes every other symbol; only position 0 accepts.  The
+    empty word's loop is the one accepting state, the universal DFA.
+
+    No two states share a language, so ``_canonical_dfa`` numbers the
+    states reached as ``minimize`` would and marks the result minimal.
+    The shortest word position i accepts is the rest of the word up to
+    position 0, (|word| - i) mod |word| letters, since every other symbol
+    leads to the sink; so the positions differ pairwise, and each differs
+    from the sink, which accepts nothing.  Over a one-letter alphabet no
+    symbol leads to the sink, which is then never discovered.
     """
-    sink = len(word)
-    rows = []
-    for i, symbol in enumerate(word):
-        row = [sink] * len(alphabet)
-        row[alphabet.index(symbol)] = (i + 1) % sink
-        rows.append(row)
-    rows.append([sink] * len(alphabet))
-    return Dfa(alphabet, rows, 0, {0})
+    sink = len(word)  # the positions are 0..sink-1
+    letters = [alphabet.index(symbol) for symbol in word]
+    width = len(alphabet)
+
+    def successors(i: int) -> list[int]:
+        row = [sink] * width
+        if i < sink:
+            row[letters[i]] = (i + 1) % sink
+        return row
+
+    return _canonical_dfa(alphabet, 0, successors, {0}.__contains__)
 
 
 def _cycle_candidate(k: int, space: _PairSpace) -> Dfa | None:

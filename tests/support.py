@@ -39,6 +39,20 @@ def language_up_to(dfa: Dfa, max_len: int) -> list[str]:
     return [w for w in all_words(dfa.alphabet.symbols, max_len) if dfa.accepts(w)]
 
 
+def assert_checked_copy(dfa: Dfa) -> None:
+    """``dfa`` equals its copy through the public, checked constructor,
+    and its fields have the types that constructor stores."""
+    copy = Dfa(dfa.alphabet, [list(row) for row in dfa.delta], dfa.initial, set(dfa.accepting))
+    assert copy == dfa
+    assert type(dfa.alphabet) is Alphabet
+    assert type(dfa.delta) is tuple
+    assert all(type(row) is tuple for row in dfa.delta)
+    assert all(type(t) is int for row in dfa.delta for t in row)
+    assert type(dfa.initial) is int
+    assert type(dfa.accepting) is frozenset
+    assert all(type(q) is int for q in dfa.accepting)
+
+
 def random_dfa(rng: random.Random, states: int, alphabet: str = "ab") -> Dfa:
     delta = [tuple(rng.randrange(states) for _ in alphabet) for _ in range(states)]
     accepting = {q for q in range(states) if rng.random() < 0.5}

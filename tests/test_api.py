@@ -21,6 +21,27 @@ def test_every_public_name_has_a_caller():
     assert sorted(set(dfadist.__all__) - read) == []
 
 
+def test_every_import_is_read():
+    # a module reads each name it imports; __init__ only re-exports, and
+    # the __future__ import is a compiler directive, not a name
+    unread = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        read = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+        unread.extend(f"{path.name}:{name}" for name in sorted(imported - read))
+    assert unread == []
+
+
 def test_no_function_calls_itself():
     # no recursion in the package: a deep input must not meet the
     # interpreter's recursion limit

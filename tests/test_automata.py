@@ -18,6 +18,7 @@ from dfadist.distinguish import shortest_distinguishing_word
 
 from support import (
     all_words,
+    assert_checked_copy,
     complement,
     language_up_to,
     nerode_class_count_oracle,
@@ -331,11 +332,18 @@ def test_subset_is_reflexive(example_b):
 def test_subset_alphabet_mismatch(example_a):
     with pytest.raises(AlphabetError):
         is_subset(example_a, Dfa("b", [(0,)], 0, set()))
+    with pytest.raises(AlphabetError):
+        is_equivalent(example_a, Dfa("b", [(0,)], 0, set()))
 
 
-def test_subset_matches_exhaustive_word_check(rng):
-    # words up to |a|*|b| decide inclusion outright: a shortest
-    # counterexample never revisits a product state
+@pytest.mark.parametrize(
+    "check, agree",
+    [(is_subset, lambda x, y: y or not x), (is_equivalent, lambda x, y: x == y)],
+    ids=["is_subset", "is_equivalent"],
+)
+def test_subset_matches_exhaustive_word_check(rng, check, agree):
+    # words up to |a|*|b| decide inclusion and equivalence outright: a
+    # shortest counterexample never revisits a product state
     for _ in range(25):
         alphabet = rng.choice(["ab", "01#"])
         cap = 14 if len(alphabet) == 2 else 9
@@ -345,10 +353,8 @@ def test_subset_matches_exhaustive_word_check(rng):
             if a.state_count * b.state_count <= cap:
                 break
         limit = a.state_count * b.state_count
-        expected = all(
-            b.accepts(w) for w in all_words(alphabet, limit) if a.accepts(w)
-        )
-        assert is_subset(a, b) == expected
+        expected = all(agree(a.accepts(w), b.accepts(w)) for w in all_words(alphabet, limit))
+        assert check(a, b) == expected
 
 
 def test_equivalence_example_pair_differs(example_a, example_b):
@@ -414,6 +420,14 @@ def test_only_minimize_marks_a_dfa_minimal():
         assert m is not d
         assert m.state_count == 1
         assert m == Dfa("ab", [(0, 0)], 0, {0})
+
+
+def test_minimize_output_passes_the_public_constructor(rng):
+    # minimize sets its output's fields without the constructor's row
+    # check; each output must pass that check unchanged
+    for _ in range(200):
+        alphabet = rng.choice(["a", "ab", "01#"])
+        assert_checked_copy(random_dfa(rng, rng.randint(1, 12), alphabet).minimize())
 
 
 def test_minimize_canonical_under_isomorphism(rng):

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from dfadist import distinguish
 from dfadist.automata import (
+    Alphabet,
     AlphabetError,
     Dfa,
     _pair_search,
@@ -39,6 +40,7 @@ from support import (
     dead_states,
     escape_reference,
     hard_pair_battery,
+    language_up_to,
     random_dfa,
     random_pair_battery,
 )
@@ -248,6 +250,26 @@ def test_cycle_candidate_matches_loop_semantics():
                         expected = loop
                         break
                 assert _cycle_candidate(k, space) == expected
+
+
+def test_loop_dfa_is_built_minimal():
+    # the loop comes out in minimize's numbering and marked minimal, and
+    # its language is w* (the empty word's loop is the universal DFA)
+    rng = random.Random(41)
+    for symbols in ("a", "ab", "01#"):
+        alphabet = Alphabet(symbols)
+        words = [""] + ["".join(rng.choices(symbols, k=rng.randint(1, 6))) for _ in range(30)]
+        for word in words:
+            loop = _loop_dfa(alphabet, word)
+            assert loop == Dfa(alphabet, loop.delta, loop.initial, loop.accepting).minimize()
+            assert loop.minimize() is loop
+            limit = 8
+            expected = [
+                w
+                for w in all_words(symbols, limit)
+                if not word or w == word * (len(w) // len(word))
+            ]
+            assert language_up_to(loop, limit) == expected
 
 
 def test_cycle_candidate_matches_the_unpruned_walk():

@@ -25,6 +25,7 @@ from dfadist.satsolve import CnfInstance, evaluate, solve
 
 from support import (
     all_words,
+    assert_checked_copy,
     battery_formulas,
     brute_force_min_distinguishing,
     in_lower_language,
@@ -362,9 +363,25 @@ def test_verify_lemma_builds_and_minimizes_each_automaton_once(monkeypatch):
     # they are, so nothing is refined
     verify_lemma(CnfFormula(1, [(1,), (-1,)]))
     assert calls == {"lower": 1, "hopcroft": 0}
-    # found: only the synthesized candidate is refined
+    # found: the candidate is a loop, built minimal, so nothing is
+    # refined either
     verify_lemma(CnfFormula(1, [(1,)]))
-    assert calls == {"lower": 2, "hopcroft": 1}
+    assert calls == {"lower": 2, "hopcroft": 0}
+
+
+def test_reduction_and_synthesis_dfas_pass_the_public_constructor():
+    # _canonical_dfa and minimize set their output's fields without the
+    # constructor's row check; each DFA they return must pass it unchanged
+    for formula in battery_formulas():
+        k, n = formula.var_count, formula.clause_count
+        report = verify_lemma(formula)
+        dfas = [build_lower_dfa(k, n), build_upper_dfa(formula)]
+        if report.synth.found:
+            dfas.append(report.synth.dfa)
+        if report.model is not None:
+            dfas.append(witness_dfa(report.model[:k]))
+        for dfa in dfas:
+            assert_checked_copy(dfa)
 
 
 def test_verify_lemma_two_variable_case():
