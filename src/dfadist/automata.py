@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from operator import itemgetter
-from typing import Callable, Hashable, NoReturn, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, NoReturn, Sequence
 
 Word = str
 
@@ -91,8 +91,11 @@ class Dfa:
     delta: tuple[tuple[int, ...], ...]
     initial: int
     accepting: frozenset[int]
-    # set only by _minimal_dfa, on the output of minimize and of
-    # _canonical_dfa: each is its own minimization
+    # set only by _trusted_dfa: true for the output of minimize and of
+    # _canonical_dfa, each its own minimization; false for parse_dfa's,
+    # whose facts the parser checks itself (the rows in _bulk_rows, the
+    # state count and initial state in _parse_int, the accepting line in
+    # bulk), so a parsed file is never taken as minimal
     _minimal: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -174,9 +177,9 @@ class Dfa:
             if block_of[q] not in new_id:
                 new_id[block_of[q]] = len(order)
                 order.append(q)
-        delta = [[new_id[block_of[t]] for t in self.delta[q]] for q in order]
+        delta = [tuple([new_id[block_of[t]] for t in self.delta[q]]) for q in order]
         accepting = {i for i, q in enumerate(order) if q in self.accepting}
-        return _minimal_dfa(self.alphabet, delta, accepting)
+        return _trusted_dfa(self.alphabet, delta, 0, accepting, minimal=True)
 
     def to_dot(self) -> str:
         """Graphviz digraph with an entry arrow and doublecircle accepting states."""
@@ -192,22 +195,34 @@ class Dfa:
         return "\n".join(lines) + "\n"
 
 
-def _minimal_dfa(alphabet: Alphabet, delta: list[list[int]], accepting: set[int]) -> Dfa:
-    """The Dfa of rows that ``minimize`` or ``_canonical_dfa`` numbered,
-    with initial state 0, marked as its own minimization.
+def _trusted_dfa(
+    alphabet: Alphabet,
+    delta: list[tuple[int, ...]],
+    initial: int,
+    accepting: Iterable[int],
+    minimal: bool,
+) -> Dfa:
+    """The Dfa of fields whose facts the caller has already checked, set
+    directly, without ``__post_init__``'s second pass over every row.
 
-    Those rows are total and in range by construction, so the fields are
-    set directly, without ``__post_init__``'s re-check of every row; the
-    types are those ``__post_init__`` stores.  Every other Dfa, and every
-    outside input, goes through the checked constructor.
+    The caller vouches for what ``__post_init__`` checks: at least one
+    row, each a tuple of ``len(alphabet)`` exact ints in [0, m), and an
+    initial state and accepting states that are exact ints in [0, m).
+    ``minimize`` and ``_canonical_dfa`` number their rows so by
+    construction and pass ``minimal=True``: each output is its own
+    minimization.  ``parse_dfa`` checks each fact of its file once
+    (``_bulk_rows`` the rows, ``_parse_int`` the state count and initial
+    state, a bulk read the accepting line) and passes ``minimal=False``:
+    a parsed file is never taken as minimal.  Every other Dfa goes
+    through the checked constructor.
     """
     dfa = object.__new__(Dfa)
     object.__setattr__(dfa, "alphabet", alphabet)
     # from a list, as in __post_init__
-    object.__setattr__(dfa, "delta", tuple([tuple(row) for row in delta]))
-    object.__setattr__(dfa, "initial", 0)
+    object.__setattr__(dfa, "delta", tuple(delta))
+    object.__setattr__(dfa, "initial", initial)
     object.__setattr__(dfa, "accepting", frozenset(accepting))
-    object.__setattr__(dfa, "_minimal", True)
+    object.__setattr__(dfa, "_minimal", minimal)
     return dfa
 
 
@@ -236,8 +251,9 @@ def _canonical_dfa(
                 j = ids[succ] = len(order)
                 order.append(succ)
             row.append(j)
-        delta.append(row)
-    return _minimal_dfa(alphabet, delta, {j for j, key in enumerate(order) if accepts(key)})
+        delta.append(tuple(row))
+    accepting = {j for j, key in enumerate(order) if accepts(key)}
+    return _trusted_dfa(alphabet, delta, 0, accepting, minimal=True)
 
 
 def _hopcroft(dfa: Dfa, reachable: list[int]) -> list[int]:
@@ -387,13 +403,16 @@ def parse_dfa(text: str) -> Dfa:
     per state, in any order.  Numerals are read by ``int()``.  Any
     violation raises DfaParseError naming the line; of several faulty
     lines, the first in the file.
+
+    Each fact is checked once, and the value is built from the checked
+    fields without a second pass.  The row block is split and checked in
+    bulk; its lines are numbered, and checked one by one, only to name a
+    fault.
     """
     raw = text.splitlines()
     if _COMMENT_CHAR in text:
         raw = [line.partition(_COMMENT_CHAR)[0] for line in raw]
-    # (line number, tokens) of each line that is not blank once its comment is cut
-    content = list(filter(itemgetter(1), enumerate(map(str.split, raw), start=1)))
-    lines = iter(content)
+    lines = _content_lines(raw, 0)
 
     def take(what: str, keyword: str | None = None) -> tuple[int, list[str]]:
         line = next(lines, None)
@@ -424,18 +443,28 @@ def parse_dfa(text: str) -> Dfa:
     lineno, tokens = take("'accepting [q...]'")
     if tokens[0] != "accepting":
         raise DfaParseError("expected 'accepting [q...]'", lineno)
-    accepting = {_parse_int(t, lineno, "accepting state", m) for t in tokens[1:]}
+    try:
+        accepting = frozenset(map(int, tokens[1:]))
+    except ValueError:
+        accepting = None
+    if accepting is None or (accepting and (min(accepting) < 0 or max(accepting) >= m)):
+        for token in tokens[1:]:  # raises at the first faulty token
+            _parse_int(token, lineno, "accepting state", m)
 
-    # at most m lines, so a huge declared m allocates nothing
-    row_lines = list(islice(lines, m))
-    rows = _bulk_rows(row_lines, m, len(alphabet))
-    if rows is None:
-        _raise_row_error(row_lines, m, alphabet)
-    extra = next(lines, None)
-    if extra is not None:
-        lineno, tokens = extra
-        raise DfaParseError(f"unexpected content {' '.join(tokens)!r} after last row", lineno)
-    return Dfa(alphabet, rows, initial, accepting)
+    # the lines after the accepting line, blank ones dropped, not numbered
+    rest = filter(None, map(str.split, islice(raw, lineno, None)))
+    # no more lines than the file has, so a huge declared m allocates nothing
+    rows = _bulk_rows(list(islice(rest, min(m, len(raw)))), m, len(alphabet))
+    if rows is None or next(rest, None) is not None:
+        _raise_row_error(raw, lineno, m, alphabet)
+    return _trusted_dfa(alphabet, rows, initial, accepting, minimal=False)
+
+
+def _content_lines(raw: list[str], start: int) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) of each line of ``raw`` after line ``start``
+    that is not blank once its comment is cut."""
+    numbered = enumerate(map(str.split, islice(raw, start, None)), start=start + 1)
+    return filter(itemgetter(1), numbered)
 
 
 def _parse_int(token: str, lineno: int, what: str, m: int | None = None) -> int:
@@ -449,21 +478,18 @@ def _parse_int(token: str, lineno: int, what: str, m: int | None = None) -> int:
     return q
 
 
-def _bulk_rows(
-    row_lines: list[tuple[int, list[str]]], m: int, width: int
-) -> list[tuple[int, ...]] | None:
-    """The m rows' targets in state order, or None if any row line is faulty.
+def _bulk_rows(row_lines: list[list[str]], m: int, width: int) -> list[tuple[int, ...]] | None:
+    """The m rows' targets in state order, each a tuple of exact ints in
+    [0, m), or None unless ``row_lines`` are exactly m faultless row lines.
 
     Each check runs once over all lines, inside builtins that loop in C.
     The token count is checked per line: a right total can still hide a
     row that spills onto the next line.
     """
-    per_line = list(map(itemgetter(1), row_lines))
     stride = 2 + width
-    if set(map(len, per_line)) != {stride}:
+    if len(row_lines) != m or set(map(len, row_lines)) != {stride}:
         return None
-    tokens = list(chain.from_iterable(per_line))
-    # one keyword per line, so this also asks for exactly m row lines
+    tokens = list(chain.from_iterable(row_lines))
     if tokens[::stride].count("row") != m:
         return None
     del tokens[::stride]
@@ -484,14 +510,15 @@ def _bulk_rows(
     return rows
 
 
-def _raise_row_error(
-    row_lines: list[tuple[int, list[str]]], m: int, alphabet: Alphabet
-) -> NoReturn:
-    """Raise the error of the first faulty row line, checked line by line
-    and token by token; if none is faulty, the input ended too early."""
+def _raise_row_error(raw: list[str], start: int, m: int, alphabet: Alphabet) -> NoReturn:
+    """Raise the error of the first faulty line after line ``start`` of
+    ``raw``, the row block numbered and checked line by line and token by
+    token: a faulty row, content past the m-th row, or else too few rows."""
     width = len(alphabet)
     seen = set()
-    for lineno, tokens in row_lines:
+    for count, (lineno, tokens) in enumerate(_content_lines(raw, start)):
+        if count == m:
+            raise DfaParseError(f"unexpected content {' '.join(tokens)!r} after last row", lineno)
         if tokens[0] != "row":
             raise DfaParseError(f"expected 'row ...', got {tokens[0]!r}", lineno)
         if len(tokens) != 2 + width:

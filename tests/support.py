@@ -53,6 +53,14 @@ def assert_checked_copy(dfa: Dfa) -> None:
     assert all(type(q) is int for q in dfa.accepting)
 
 
+def assert_parsed_value(dfa: Dfa) -> None:
+    """``dfa``, which ``parse_dfa`` built from checked fields without the
+    constructor, passes that constructor, and carries no minimal mark: a
+    parsed file is never taken as minimal, so ``minimize`` refines it."""
+    assert_checked_copy(dfa)
+    assert dfa._minimal is False
+
+
 def random_dfa(rng: random.Random, states: int, alphabet: str = "ab") -> Dfa:
     delta = [tuple(rng.randrange(states) for _ in alphabet) for _ in range(states)]
     accepting = {q for q in range(states) if rng.random() < 0.5}

@@ -19,9 +19,11 @@ from dfadist.distinguish import shortest_distinguishing_word
 from support import (
     all_words,
     assert_checked_copy,
+    assert_parsed_value,
     complement,
     language_up_to,
     nerode_class_count_oracle,
+    parse_dfa_reference,
     permuted_copy,
     product,
     random_dfa,
@@ -220,14 +222,18 @@ def test_round_trip_identity(d):
 def test_parse_large_dfa_in_any_row_order(rng):
     d = random_dfa(rng, 20_000)
     lines = serialize_dfa(d).splitlines()
-    assert parse_dfa("\n".join(lines)) == d
+    parsed = parse_dfa("\n".join(lines))
+    assert parsed == d
+    assert_parsed_value(parsed)
     # rows reversed, with a comment line every 1,000 rows
     shuffled = lines[:5]
     for i, row in enumerate(reversed(lines[5:])):
         if i % 1000 == 0:
             shuffled.append(f"; row {i}")
         shuffled.append(row)
-    assert parse_dfa("\n".join(shuffled)) == d
+    parsed = parse_dfa("\n".join(shuffled))
+    assert parsed == d
+    assert_parsed_value(parsed)
 
 
 def test_parse_huge_state_count_allocates_nothing():
@@ -237,6 +243,74 @@ def test_parse_huge_state_count_allocates_nothing():
     with pytest.raises(DfaParseError, match="unexpected end of input"):
         parse_dfa(text)
     assert time.perf_counter() - start < 0.1
+
+
+def test_parse_state_count_past_the_index_range():
+    # a count no slice can take is still a parse error, not a ValueError
+    text = "dfa v1\nalphabet a\nstates 100000000000000000000\ninitial 0\naccepting\nrow 0 0\n"
+    with pytest.raises(DfaParseError, match="unexpected end of input") as err:
+        parse_dfa(text)
+    assert err.value.line is None
+
+
+# the rows are split and checked in bulk, without line numbers; a fault
+# must still name the line that the line-by-line reference names
+HEADER_2 = "dfa v1\nalphabet ab\nstates 2\ninitial 0\naccepting 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        # blank lines, a comment-only line and a \x1c line boundary before the fault
+        (HEADER_2 + "\n \t\n; note\nrow 0 1 0\x1crow 1 1 2\n",
+         "row target 2 outside [0,2)", 10),
+        (HEADER_2 + "row 1 1 1\n\n;\nrow 1 0 0\n", "duplicate row for state 1", 9),
+        # a full block, then more content after blank lines
+        (HEADER_2 + "row 1 1 1\nrow 0 1 0\n\n  \nrow 1 0 0\n",
+         "unexpected content 'row 1 0 0' after last row", 10),
+        (HEADER_2 + "row 0 1 0\nrow 1 1 1\n\n; end\nrow\n",
+         "unexpected content 'row' after last row", 10),
+        # too few rows
+        (HEADER_2 + "row 0 1 0\n\n; end\n",
+         "unexpected end of input, expected 'row <q> <2 targets>'", None),
+        (HEADER_2, "unexpected end of input, expected 'row <q> <2 targets>'", None),
+    ],
+)
+def test_parse_row_block_faults_name_the_line(text, message, line):
+    for parse in (parse_dfa, parse_dfa_reference):
+        with pytest.raises(DfaParseError) as err:
+            parse(text)
+        assert err.value.line == line
+        assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+
+def test_parse_accepting_line_reads_numerals_like_int():
+    text = "dfa v1\nalphabet a\nstates 3\ninitial 0\naccepting +1 02 01\nrow 0 1\nrow 1 2\nrow 2 0\n"
+    d = parse_dfa(text)
+    assert d.accepting == {1, 2}
+    assert d == parse_dfa_reference(text)
+    assert_parsed_value(d)
+
+
+@pytest.mark.parametrize(
+    "tokens, message",
+    [
+        ("1 1.0 -1 3", "expected accepting state, got '1.0'"),
+        ("1 -1 1.0 3", "accepting state -1 outside [0,3)"),
+        ("1 3 1.0 -1", "accepting state 3 outside [0,3)"),
+        # only a state below 0 is faulty: a max-only range check would pass it
+        ("2 -1 1", "accepting state -1 outside [0,3)"),
+        ("+1 x", "expected accepting state, got 'x'"),
+    ],
+)
+def test_parse_accepting_line_names_the_first_faulty_token(tokens, message):
+    # comment and blank lines move the accepting line to line 7
+    text = f"; header\ndfa v1\nalphabet a\nstates 3\n\ninitial 0\naccepting {tokens}\nrow 0 0\n"
+    for parse in (parse_dfa, parse_dfa_reference):
+        with pytest.raises(DfaParseError) as err:
+            parse(text)
+        assert err.value.line == 7
+        assert str(err.value) == f"line 7: {message}"
 
 
 # ---------------------------------------------------------------------

@@ -269,6 +269,27 @@ def test_minimize_outputs_dfa_format(workdir, capsys):
     assert out == "dfa v1\nalphabet a\nstates 1\ninitial 0\naccepting\nrow 0 0\n"
 
 
+def test_minimize_loosely_written_file_matches_canonical(workdir, capsys):
+    # example_b.dfa with CRLF endings, tabs, comments, rows in reverse
+    # order and the numerals +1, 01 and 02
+    loose = workdir / "loose.dfa"
+    loose.write_bytes(
+        b"; example_b.dfa, written loosely\r\ndfa v1\r\nalphabet\ta\r\nstates 5\r\n"
+        b"initial\t0\r\naccepting\t01 +1\t2 3 ; all but 0 and 4\r\n"
+        b"row 4\t2\r\nrow\t3 4\r\nrow 2 3\r\nrow +1 02\r\nrow 0\t01\r\n"
+    )
+    assert run(capsys, "minimize", loose) == run(capsys, "minimize", workdir / "example_b.dfa")
+
+
+@pytest.mark.parametrize("m", ["1000000000000", "100000000000000000000"])
+def test_huge_declared_state_count_is_input_error(workdir, capsys, m):
+    huge = workdir / "huge.dfa"
+    huge.write_text(f"dfa v1\nalphabet a\nstates {m}\ninitial 0\naccepting\nrow 0 0\n")
+    code, out, err = run(capsys, "minimize", huge)
+    assert (code, out) == (2, "")
+    assert err == "error: unexpected end of input, expected 'row <q> <1 targets>'\n"
+
+
 def test_dot_output(workdir, capsys):
     code, out, _ = run(capsys, "dot", workdir / "example_a.dfa")
     assert code == 0

@@ -22,7 +22,7 @@ from dfadist.automata import DfaParseError, parse_dfa, serialize_dfa
 from dfadist.cli import main
 from dfadist.satsolve import CnfInstance, DimacsParseError, parse_dimacs
 
-from support import parse_dfa_reference, random_dfa
+from support import assert_parsed_value, parse_dfa_reference, random_dfa
 
 VALID_DFA = ["dfa v1", "alphabet ab", "states 2", "initial 0", "accepting 1", "row 0 1 0", "row 1 1 1"]
 # per line of the valid file, broken variants of that line
@@ -91,6 +91,7 @@ def test_parse_dfa_value_or_parse_error(text):
         dfa = parse_dfa(text)
     except DfaParseError:
         return
+    assert_parsed_value(dfa)
     assert parse_dfa(serialize_dfa(dfa)) == dfa
 
 
@@ -158,11 +159,14 @@ def mangled_dfa_text(draw):
 
 
 def parse_outcome(parse, text):
-    """The parsed value, or the parse error's message and line."""
+    """The parsed value, which must pass the checked constructor, or the
+    parse error's message and line."""
     try:
-        return parse(text)
+        dfa = parse(text)
     except DfaParseError as err:
         return str(err), err.line
+    assert_parsed_value(dfa)
+    return dfa
 
 
 @settings(max_examples=300)
