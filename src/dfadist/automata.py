@@ -400,9 +400,10 @@ def parse_dfa(text: str) -> Dfa:
     ``;`` starts a comment, blank lines are ignored.  Expected lines:
     ``dfa v1``, ``alphabet <symbols>``, ``states <m>``, ``initial <q>``,
     ``accepting [q...]``, then exactly one ``row <q> <targets...>`` line
-    per state, in any order.  Numerals are read by ``int()``.  Any
-    violation raises DfaParseError naming the line; of several faulty
-    lines, the first in the file.
+    per state, in any order.  Numerals are read as ``int()`` reads them
+    (the row block's canonical ones by lookup in a table built for the
+    parse).  Any violation raises DfaParseError naming the line; of
+    several faulty lines, the first in the file.
 
     Each fact is checked once, and the value is built from the checked
     fields without a second pass.  The row block is split and checked in
@@ -484,7 +485,12 @@ def _bulk_rows(row_lines: list[list[str]], m: int, width: int) -> list[tuple[int
 
     Each check runs once over all lines, inside builtins that loop in C.
     The token count is checked per line: a right total can still hide a
-    row that spills onto the next line.
+    row that spills onto the next line.  Once the lines' shape is right,
+    the numerals are read by lookup in a table of the canonical ones,
+    ``"0"`` to ``str(m - 1)``, built for this call: one lookup reads a
+    numeral and checks its range, cheaper than ``int()`` and a range
+    test.  A token not in the table (``+1``, ``01``, a fault) sends the
+    block through ``int()`` and the range test, to the same values.
     """
     stride = 2 + width
     if len(row_lines) != m or set(map(len, row_lines)) != {stride}:
@@ -493,12 +499,17 @@ def _bulk_rows(row_lines: list[list[str]], m: int, width: int) -> list[tuple[int
     if tokens[::stride].count("row") != m:
         return None
     del tokens[::stride]
+    # sized by the m lines already read, never by the declared count alone
+    numerals = {str(q): q for q in range(m)}
     try:
-        numbers = list(map(int, tokens))
-    except ValueError:
-        return None
-    if min(numbers) < 0 or max(numbers) >= m:
-        return None
+        numbers = list(map(numerals.__getitem__, tokens))
+    except KeyError:
+        try:
+            numbers = list(map(int, tokens))
+        except ValueError:
+            return None
+        if min(numbers) < 0 or max(numbers) >= m:
+            return None
     per_row = 1 + width
     states = numbers[::per_row]
     rows = list(zip(*(numbers[c::per_row] for c in range(1, per_row))))

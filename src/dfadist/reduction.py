@@ -236,7 +236,13 @@ def verify_lemma(formula: CnfFormula) -> LemmaReport:
     answers agree.  A model from the solver is re-checked clause by
     clause, and the explicit witness built from it is additionally
     checked to distinguish the pair; a failed re-check raises
-    ``RuntimeError``.
+    ``RuntimeError``.  The witness is checked only when it differs from
+    the DFA synthesis found: synthesis has already checked that one with
+    the same ``is_distinguishing(dfa, upper, lower)``, and raises
+    ``RuntimeError`` itself if it fails, so every distinct distinguisher
+    is still checked once.  On every satisfiable battery formula the two
+    are equal: DPLL tries false first and finds the least model, and the
+    loop pre-pass finds the first loop in lexicographic order.
 
     Only budget k+2 is searched, because every distinguisher D of the
     pair has at least k+2 states.  Lower is inside upper, so D's
@@ -261,10 +267,12 @@ def verify_lemma(formula: CnfFormula) -> LemmaReport:
         )
     lower = build_lower_dfa(k, n)
     upper = build_upper_dfa(formula)
-    if model is not None and not is_distinguishing(witness_dfa(model[:k]), upper, lower):
-        raise RuntimeError(
-            "witness DFA from the solver model failed the distinguishing re-check; "
-            "this indicates a reduction bug"
-        )
     synth = synth_min_distinguishing(upper, lower, k + 2, k_min=k + 2)
+    if model is not None:
+        witness = witness_dfa(model[:k])
+        if witness != synth.dfa and not is_distinguishing(witness, upper, lower):
+            raise RuntimeError(
+                "witness DFA from the solver model failed the distinguishing re-check; "
+                "this indicates a reduction bug"
+            )
     return LemmaReport(formula=formula, model=model, synth=synth)

@@ -313,6 +313,28 @@ def test_parse_accepting_line_names_the_first_faulty_token(tokens, message):
         assert str(err.value) == f"line 7: {message}"
 
 
+# the row block's canonical numerals are read by lookup in a table built
+# for the parse; any other numeral sends the block through int()
+@pytest.mark.parametrize(
+    "spell",
+    [
+        lambda t: f"0{t}",
+        lambda t: f"+{t}",
+        lambda t: str(t).translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+    ],
+    ids=["leading-zero", "plus-sign", "arabic-indic"],
+)
+def test_parse_row_block_reads_a_loose_numeral_like_int(rng, spell):
+    d = random_dfa(rng, 500)
+    lines = serialize_dfa(d).splitlines()
+    assert lines[5].startswith("row 0 ")
+    lines[5] = f"row 0 {spell(d.delta[0][0])} {d.delta[0][1]}"
+    text = "\n".join(lines)
+    parsed = parse_dfa(text)
+    assert parsed == d == parse_dfa_reference(text)
+    assert_parsed_value(parsed)
+
+
 # ---------------------------------------------------------------------
 # product
 # ---------------------------------------------------------------------

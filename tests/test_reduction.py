@@ -369,6 +369,30 @@ def test_verify_lemma_builds_and_minimizes_each_automaton_once(monkeypatch):
     assert calls == {"lower": 2, "hopcroft": 0}
 
 
+def test_verify_lemma_checks_each_distinct_distinguisher_once(monkeypatch):
+    # synthesis checks its DFA; the solver's witness is the same DFA on
+    # every satisfiable battery formula, so it is not checked again
+    calls = []
+
+    def counting(dfa, a1, a2):
+        calls.append(dfa)
+        return is_distinguishing(dfa, a1, a2)
+
+    monkeypatch.setattr("dfadist.distinguish.is_distinguishing", counting)
+    monkeypatch.setattr(reduction, "is_distinguishing", counting)
+    satisfiable = 0
+    for formula in battery_formulas():
+        calls.clear()
+        report = verify_lemma(formula)
+        if report.model is None:
+            assert calls == []
+            continue
+        satisfiable += 1
+        assert witness_dfa(report.model[: formula.var_count]) == report.synth.dfa
+        assert calls == [report.synth.dfa]
+    assert satisfiable == 77
+
+
 def test_reduction_and_synthesis_dfas_pass_the_public_constructor():
     # _canonical_dfa and minimize set their output's fields without the
     # constructor's row check; each DFA they return must pass it unchanged
