@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import islice
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, NoReturn, Sequence
 
@@ -94,8 +94,9 @@ class Dfa:
     # set only by _trusted_dfa: true for the output of minimize and of
     # _canonical_dfa, each its own minimization; false for parse_dfa's,
     # whose facts the parser checks itself (the rows in _bulk_rows, the
-    # state count and initial state in _parse_int, the accepting line in
-    # bulk), so a parsed file is never taken as minimal
+    # state count and initial state in _parse_int, the accepting line
+    # through the rows' numeral table), so a parsed file is never taken as
+    # minimal
     _minimal: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -212,9 +213,9 @@ def _trusted_dfa(
     construction and pass ``minimal=True``: each output is its own
     minimization.  ``parse_dfa`` checks each fact of its file once
     (``_bulk_rows`` the rows, ``_parse_int`` the state count and initial
-    state, a bulk read the accepting line) and passes ``minimal=False``:
-    a parsed file is never taken as minimal.  Every other Dfa goes
-    through the checked constructor.
+    state, ``_state_ids`` the accepting line, through the rows' numeral
+    table) and passes ``minimal=False``: a parsed file is never taken as
+    minimal.  Every other Dfa goes through the checked constructor.
     """
     dfa = object.__new__(Dfa)
     object.__setattr__(dfa, "alphabet", alphabet)
@@ -401,14 +402,18 @@ def parse_dfa(text: str) -> Dfa:
     ``dfa v1``, ``alphabet <symbols>``, ``states <m>``, ``initial <q>``,
     ``accepting [q...]``, then exactly one ``row <q> <targets...>`` line
     per state, in any order.  Numerals are read as ``int()`` reads them
-    (the row block's canonical ones by lookup in a table built for the
-    parse).  Any violation raises DfaParseError naming the line; of
-    several faulty lines, the first in the file.
+    (the canonical ones of the row block and the accepting line by
+    lookup in a table built for the parse).  Any violation raises
+    DfaParseError naming the line; of several faulty lines, the first in
+    the file.
 
     Each fact is checked once, and the value is built from the checked
-    fields without a second pass.  The row block is split and checked in
-    bulk; its lines are numbered, and checked one by one, only to name a
-    fault.
+    fields without a second pass.  The row block's shape is checked by
+    counts and the block split once (``_bulk_rows``); the accepting line
+    is read after it, through the same numeral table.  When a bulk check
+    fails, the accepting line is read through ``int()``, so its fault is
+    still the one reported, and the row block's lines are numbered and
+    checked one by one to name the first fault.
     """
     raw = text.splitlines()
     if _COMMENT_CHAR in text:
@@ -444,19 +449,16 @@ def parse_dfa(text: str) -> Dfa:
     lineno, tokens = take("'accepting [q...]'")
     if tokens[0] != "accepting":
         raise DfaParseError("expected 'accepting [q...]'", lineno)
-    try:
-        accepting = frozenset(map(int, tokens[1:]))
-    except ValueError:
-        accepting = None
-    if accepting is None or (accepting and (min(accepting) < 0 or max(accepting) >= m)):
+    # the lines after the accepting line, stripped, blank ones dropped, not
+    # numbered: str.strip drops the whitespace that str.split splits on
+    row_lines = list(filter(None, map(str.strip, islice(raw, lineno, None))))
+    rows, numerals = _bulk_rows(row_lines, m, len(alphabet)) or (None, {})
+    # through the rows' table; with no table, through int() as a whole
+    accepting = _state_ids(tokens[1:], numerals, m)
+    if accepting is None:
         for token in tokens[1:]:  # raises at the first faulty token
             _parse_int(token, lineno, "accepting state", m)
-
-    # the lines after the accepting line, blank ones dropped, not numbered
-    rest = filter(None, map(str.split, islice(raw, lineno, None)))
-    # no more lines than the file has, so a huge declared m allocates nothing
-    rows = _bulk_rows(list(islice(rest, min(m, len(raw)))), m, len(alphabet))
-    if rows is None or next(rest, None) is not None:
+    if rows is None:
         _raise_row_error(raw, lineno, m, alphabet)
     return _trusted_dfa(alphabet, rows, initial, accepting, minimal=False)
 
@@ -479,37 +481,59 @@ def _parse_int(token: str, lineno: int, what: str, m: int | None = None) -> int:
     return q
 
 
-def _bulk_rows(row_lines: list[list[str]], m: int, width: int) -> list[tuple[int, ...]] | None:
-    """The m rows' targets in state order, each a tuple of exact ints in
-    [0, m), or None unless ``row_lines`` are exactly m faultless row lines.
+def _state_ids(tokens: list[str], numerals: dict[str, int], m: int) -> list[int] | None:
+    """``tokens`` read as state ids in [0, m), or None if one is not.
 
-    Each check runs once over all lines, inside builtins that loop in C.
-    The token count is checked per line: a right total can still hide a
-    row that spills onto the next line.  Once the lines' shape is right,
-    the numerals are read by lookup in a table of the canonical ones,
-    ``"0"`` to ``str(m - 1)``, built for this call: one lookup reads a
-    numeral and checks its range, cheaper than ``int()`` and a range
-    test.  A token not in the table (``+1``, ``01``, a fault) sends the
-    block through ``int()`` and the range test, to the same values.
+    A token is read by lookup in ``numerals``, which maps the canonical
+    numerals ``"0"`` to ``str(m - 1)`` to their values: one lookup reads
+    a numeral and checks its range.  A token not in it (``+1``, ``01``,
+    a fault) sends all of ``tokens`` through ``int()`` and the range
+    test, to the same values.
+    """
+    try:
+        return list(map(numerals.__getitem__, tokens))
+    except KeyError:
+        try:
+            ids = list(map(int, tokens))
+        except ValueError:
+            return None
+        if ids and (min(ids) < 0 or max(ids) >= m):
+            return None
+        return ids
+
+
+def _bulk_rows(
+    lines: list[str], m: int, width: int
+) -> tuple[list[tuple[int, ...]], dict[str, int]] | None:
+    """The m rows' targets in state order, each a tuple of exact ints in
+    [0, m), and the numeral table they were read with; or None unless
+    ``lines``, stripped and not blank, are exactly m faultless row lines.
+
+    The block's shape is checked by counts, then it is split once.  With
+    m lines, each starting with ``row``, and m * (2 + width) tokens whose
+    every (2 + width)-th one is ``row``, each line holds exactly one row:
+    every other token must read as a numeral, so each line's first
+    token sits in one of the m ``row`` places, and each line spans one
+    row's tokens, not spilling onto the next.  The numerals are then
+    read by ``_state_ids`` with a table built for this call, only once
+    the shape checks pass.
     """
     stride = 2 + width
-    if len(row_lines) != m or set(map(len, row_lines)) != {stride}:
+    if len(lines) != m:
         return None
-    tokens = list(chain.from_iterable(row_lines))
-    if tokens[::stride].count("row") != m:
+    # splitlines left no "\n" in a line, so each "\nrow" starts a line
+    block = "\n" + "\n".join(lines)
+    if block.count("\nrow") != m:
+        return None
+    tokens = block.split()
+    if len(tokens) != m * stride or tokens[::stride].count("row") != m:
         return None
     del tokens[::stride]
     # sized by the m lines already read, never by the declared count alone
     numerals = {str(q): q for q in range(m)}
-    try:
-        numbers = list(map(numerals.__getitem__, tokens))
-    except KeyError:
-        try:
-            numbers = list(map(int, tokens))
-        except ValueError:
-            return None
-        if min(numbers) < 0 or max(numbers) >= m:
-            return None
+    numbers = _state_ids(tokens, numerals, m)
+    if numbers is None:
+        return None
     per_row = 1 + width
     states = numbers[::per_row]
     rows = list(zip(*(numbers[c::per_row] for c in range(1, per_row))))
@@ -518,7 +542,7 @@ def _bulk_rows(row_lines: list[list[str]], m: int, width: int) -> list[tuple[int
         if len(by_state) != m:
             return None
         rows = list(map(by_state.__getitem__, range(m)))
-    return rows
+    return rows, numerals
 
 
 def _raise_row_error(raw: list[str], start: int, m: int, alphabet: Alphabet) -> NoReturn:

@@ -256,6 +256,7 @@ def test_parse_state_count_past_the_index_range():
 # the rows are split and checked in bulk, without line numbers; a fault
 # must still name the line that the line-by-line reference names
 HEADER_2 = "dfa v1\nalphabet ab\nstates 2\ninitial 0\naccepting 1\n"
+HEADER_A2 = "dfa v1\nalphabet a\nstates 2\ninitial 0\naccepting 1\n"
 
 
 @pytest.mark.parametrize(
@@ -274,6 +275,28 @@ HEADER_2 = "dfa v1\nalphabet ab\nstates 2\ninitial 0\naccepting 1\n"
         (HEADER_2 + "row 0 1 0\n\n; end\n",
          "unexpected end of input, expected 'row <q> <2 targets>'", None),
         (HEADER_2, "unexpected end of input, expected 'row <q> <2 targets>'", None),
+        # the block's shape is checked by counts: line count, lines starting
+        # with "row", token total and "row" at every (2 + width)-th token.
+        # A row spilling onto the next line, with the right token total:
+        (HEADER_A2 + "row 0 1 row\n1 0\n", "row needs 1 targets for alphabet 'a', got 2", 6),
+        (HEADER_A2 + "row 0\n1 row 1 0\n", "row needs 1 targets for alphabet 'a', got 0", 6),
+        # a row token in the middle of a line
+        (HEADER_2 + "row 0 row 1\nrow 1 0 1\n", "expected row target, got 'row'", 6),
+        (HEADER_A2 + "row row 0\nrow 1 0\n", "expected row state, got 'row'", 6),
+        (HEADER_A2 + "row 0 1\nrow 1 row\n", "expected row target, got 'row'", 7),
+        # a first token that only starts with "row"
+        (HEADER_A2 + "row0 1\nrow 1 0\n", "expected 'row ...', got 'row0'", 6),
+        (HEADER_A2 + "rowx 0 1\nrow 1 0\n", "expected 'row ...', got 'rowx'", 6),
+        (HEADER_A2 + "row 0 1\nrow1 0 0\n", "expected 'row ...', got 'row1'", 7),
+        # a faulty accepting line is reported before any row fault, whether
+        # the block's shape, its numerals or its state set is at fault
+        (HEADER_2.replace("accepting 1", "accepting x") + "row 0 1 0\nrow 1 1 2\n",
+         "expected accepting state, got 'x'", 5),
+        (HEADER_2.replace("accepting 1", "accepting -1") + "row 0 1 0 row\n1 1 1\n",
+         "accepting state -1 outside [0,2)", 5),
+        (HEADER_2.replace("accepting 1", "accepting 0 2") + "row 0 1 0\nrow 0 1 1\n",
+         "accepting state 2 outside [0,2)", 5),
+        (HEADER_2.replace("accepting 1", "accepting 1 +x"), "expected accepting state, got '+x'", 5),
     ],
 )
 def test_parse_row_block_faults_name_the_line(text, message, line):
@@ -333,6 +356,39 @@ def test_parse_row_block_reads_a_loose_numeral_like_int(rng, spell):
     parsed = parse_dfa(text)
     assert parsed == d == parse_dfa_reference(text)
     assert_parsed_value(parsed)
+
+
+def test_parse_row_lines_with_loose_whitespace():
+    # lines led by tabs and spaces, trailing whitespace, \x1c line
+    # boundaries; then no-break and ideographic spaces, which str.strip
+    # drops as str.split splits on them
+    text = HEADER_2 + " \trow 1 1 1\t \x1c\t row 0 1 0 \x1c\n  \t\n"
+    parsed = parse_dfa(text)
+    assert parsed == Dfa("ab", [(1, 0), (1, 1)], 0, {1}) == parse_dfa_reference(text)
+    assert_parsed_value(parsed)
+    text = HEADER_2 + "\xa0row\xa01 1 1\u3000\n\trow 0\u20031 0\r\n"
+    assert parse_dfa(text) == parsed == parse_dfa_reference(text)
+
+
+def test_parse_accepting_line_reads_through_the_rows_table(rng):
+    d = random_dfa(rng, 500)
+    lines = serialize_dfa(d).splitlines()
+    assert lines[4].startswith("accepting")
+    canonical = "\n".join(lines)
+    assert parse_dfa(canonical) == d == parse_dfa_reference(canonical)
+    # tokens outside the table send the line through int()
+    lines[4] = "accepting +1 01 ٣ " + lines[4].removeprefix("accepting")
+    text = "\n".join(lines)
+    parsed = parse_dfa(text)
+    assert parsed == parse_dfa_reference(text)
+    assert parsed.accepting == d.accepting | {1, 3}
+    assert_parsed_value(parsed)
+    # a canonical numeral past the last state is not in the table either
+    lines[4] = "accepting 0 499 500"
+    text = "\n".join(lines)
+    for parse in (parse_dfa, parse_dfa_reference):
+        with pytest.raises(DfaParseError, match=r"^line 5: accepting state 500 outside \[0,500\)$"):
+            parse(text)
 
 
 # ---------------------------------------------------------------------
