@@ -6,6 +6,11 @@ input errors, for running out of memory or recursion depth, for a failed
 re-check of a solver model or a synthesized DFA, and for an interrupt.
 A DIMACS file whose header declares a different clause count than it
 holds is still read, with one ``warning:`` line on stderr.
+
+A call of positional arguments only (a command without options, or
+``check <kind>``, with exactly its arguments) is dispatched straight from
+``_COMMANDS`` / ``_CHECKS``; argparse handles every other call: options,
+help, ``--`` and usage errors.
 """
 
 from __future__ import annotations
@@ -30,13 +35,18 @@ EXIT_FALSE = 1
 EXIT_ERROR = 2
 
 
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as file:
+        return file.read()
+
+
 def _load_dfa(path: str) -> Dfa:
-    return parse_dfa(Path(path).read_text(encoding="utf-8"))
+    return parse_dfa(_read_text(path))
 
 
 def _read_cnf(path: str) -> CnfInstance:
     """Parse a DIMACS file; each parser warning becomes one stderr line."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         instance = parse_dimacs(text)
@@ -135,20 +145,29 @@ def _cmd_verify_lemma(args: argparse.Namespace) -> int:
     return EXIT_TRUE if report.consistent else EXIT_FALSE
 
 
-# subcommand -> (help, positional arguments); main dispatches to
-# _cmd_<name>, looked up at call time so a rebound handler is reached
+# subcommand -> (help, positional arguments, options as (flag, add_argument
+# keywords)); main dispatches to _cmd_<name>, looked up at call time so a
+# rebound handler is reached
 _COMMANDS = {
     "reduce": (
         "compile a DIMACS CNF into the upper/lower .dfa pair",
         ("cnf", "out_upper", "out_lower"),
+        (),
     ),
-    "synth": ("synthesize a minimal distinguishing DFA", ("a1", "a2")),
-    "word": ("shortest word accepted by exactly one of two DFAs", ("a1", "a2")),
-    "check": ("boolean language checks", ()),
-    "minimize": ("print the minimal DFA in .dfa format", ("dfa",)),
-    "dot": ("print the DFA as a Graphviz digraph", ("dfa",)),
-    "sat": ("solve a DIMACS CNF", ("cnf",)),
-    "verify-lemma": ("check satisfiability against minimal distinguisher size", ("cnf",)),
+    "synth": (
+        "synthesize a minimal distinguishing DFA",
+        ("a1", "a2"),
+        (
+            ("--max-k", {"type": int, "required": True, "help": "largest state count to try"}),
+            ("--emit", {"help": "write the synthesized DFA here"}),
+        ),
+    ),
+    "word": ("shortest word accepted by exactly one of two DFAs", ("a1", "a2"), ()),
+    "check": ("boolean language checks", (), ()),
+    "minimize": ("print the minimal DFA in .dfa format", ("dfa",), ()),
+    "dot": ("print the DFA as a Graphviz digraph", ("dfa",), ()),
+    "sat": ("solve a DIMACS CNF", ("cnf",), ()),
+    "verify-lemma": ("check satisfiability against minimal distinguisher size", ("cnf",), ()),
 }
 
 
@@ -159,14 +178,12 @@ def _parser() -> argparse.ArgumentParser:
         description="DFA algebra, distinguishing-DFA synthesis, and the CNF-to-DFA-pair pipeline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, positionals) in _COMMANDS.items():
+    for name, (help_text, positionals, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for arg in positionals:
             p.add_argument(arg)
-
-    synth = sub.choices["synth"]
-    synth.add_argument("--max-k", type=int, required=True, help="largest state count to try")
-    synth.add_argument("--emit", help="write the synthesized DFA here")
+        for flag, settings in options:
+            p.add_argument(flag, **settings)
 
     check_sub = sub.choices["check"].add_subparsers(dest="check_kind", required=True)
     for kind, (help_text, names, _) in _CHECKS.items():
@@ -176,8 +193,39 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _positional_call(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse would build for a call of positional arguments
+    only, read off the tables; None leaves the call to argparse.
+
+    Taken are a command that declares no option, or ``check <kind>``,
+    followed by exactly its positional names, no token starting with ``-``.
+    """
+    if not argv or any(token.startswith("-") for token in argv):
+        return None
+    command, *values = argv
+    entry = _COMMANDS.get(command)
+    if entry is None or entry[2]:
+        return None
+    fields = {"command": command}
+    names = entry[1]
+    if command == "check":
+        check = _CHECKS.get(values[0]) if values else None
+        if check is None:
+            return None
+        fields["check_kind"] = values.pop(0)
+        names = check[1]
+    if len(values) != len(names):
+        return None
+    fields.update(zip(names, values))
+    return argparse.Namespace(**fields)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _positional_call(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)

@@ -493,3 +493,118 @@ def test_help_lists_every_subcommand_in_order(capsys, monkeypatch):
     assert "--max-k" in synth and "--emit" in synth
     check = help_screen(capsys, "check")
     assert all(kind in check for kind in ("subset", "equiv", "distinguishing"))
+
+
+# ---------------------------------------------------------------------
+# positional calls: dispatched from the tables, argparse for the rest
+# ---------------------------------------------------------------------
+
+def table_calls():
+    """(argv prefix, positional names, options) for every command and check kind."""
+    for name, (_, positionals, options) in cli._COMMANDS.items():
+        if name == "check":
+            for kind, (_, names, _) in cli._CHECKS.items():
+                yield (name, kind), names, options
+        else:
+            yield (name,), positionals, options
+
+
+def argv_shapes(prefix, names, options):
+    """The right call, and calls around it that argparse must be left to judge."""
+    values = [f"{name}.in" for name in names]
+    yield [*prefix, *values]
+    yield [*prefix, *values[:-1]]
+    yield [*prefix, *values, "extra.in"]
+    yield [*prefix, "--", *values]
+    yield [*prefix, *values, "-h"]
+    yield [*prefix, "--help"]
+    yield [prefix[0][:-1], *prefix[1:], *values]
+    yield [*prefix[:-1], prefix[-1] + "x", *values]
+    for i in range(len(values)):
+        for token in ("-" + values[i], "--", "-1", ""):
+            yield [*prefix, *values[:i], token, *values[i + 1:]]
+    for flag, _ in options:
+        yield [*prefix, *values, flag, "2"]
+    yield [*prefix, *values, *(token for flag, _ in options for token in (flag, "2"))]
+
+
+def parsed_or_none(argv):
+    try:
+        return vars(cli._parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+@pytest.mark.parametrize(
+    "prefix, names, options", [pytest.param(*call, id=" ".join(call[0])) for call in table_calls()]
+)
+def test_positional_call_matches_argparse(prefix, names, options):
+    right = [*prefix, *(f"{name}.in" for name in names)]
+    taken = cli._positional_call(right)
+    # a command that declares an option is left to argparse, even with none given
+    assert (taken is None) == bool(options)
+    for argv in argv_shapes(prefix, names, options):
+        fast = cli._positional_call(list(argv))
+        if fast is not None:
+            assert vars(fast) == parsed_or_none(argv), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], [""], ["frobnicate"], ["check"], ["check", ""], ["--", "word", "a", "b"], ["-h"], ["--help"]],
+)
+def test_positional_call_declines_what_argparse_decides(argv):
+    assert cli._positional_call(argv) is None
+
+
+def test_positional_calls_build_no_parser(workdir, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    pair = (workdir / "example_a.dfa", workdir / "example_b.dfa")
+    assert run(capsys, "word", *pair)[:2] == (0, "aaaaaaa\n")
+    assert run(capsys, "check", "subset", *pair)[:2] == (1, "false\n")
+    assert run(capsys, "verify-lemma", workdir / "unit_pos.cnf")[0] == 0
+    assert built == []
+
+    synth = ("synth", *pair, "--max-k", "2")
+    assert run(capsys, *synth)[:2] == (0, "k=2 orientation=1\n")
+    assert built and cli._parser.cache_info().misses == 1
+    first = len(built)
+    assert run(capsys, *synth)[:2] == (0, "k=2 orientation=1\n")
+    assert len(built) == first
+
+
+# the bad input goes first, after the command; the messages are those of
+# Path.read_text, which the CLI read its inputs with before
+@pytest.mark.parametrize("argv", [("word", "example_b.dfa"), ("verify-lemma",)], ids=["word", "verify-lemma"])
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("missing.in", "[Errno 2] No such file or directory: '{}'"),
+        ("folder", "[Errno 21] Is a directory: '{}'"),
+        ("latin1.in", "'utf-8' codec can't decode byte 0xe9 in position 1: invalid continuation byte"),
+    ],
+    ids=["missing", "directory", "invalid-utf8"],
+)
+def test_unreadable_input_is_one_error_line(workdir, capsys, argv, name, message):
+    (workdir / "folder").mkdir()
+    (workdir / "latin1.in").write_bytes(b"c\xe9\n")
+    path = str(workdir / name)
+    code, out, err = run(capsys, argv[0], path, *(workdir / a for a in argv[1:]))
+    assert (code, out) == (2, "")
+    assert err == "error: " + message.replace("{}", path) + "\n"
+
+
+def test_input_path_is_opened_as_given(workdir, capsys):
+    # no path normalization: a file named with a trailing slash is not read
+    path = str(workdir / "example_a.dfa") + "/"
+    code, out, err = run(capsys, "word", path, workdir / "example_b.dfa")
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 20] Not a directory: '{path}'\n"
