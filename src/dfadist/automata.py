@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Iterator, NoReturn, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 Word = str
 
@@ -93,10 +93,10 @@ class Dfa:
     accepting: frozenset[int]
     # set only by _trusted_dfa: true for the output of minimize and of
     # _canonical_dfa, each its own minimization; false for parse_dfa's,
-    # whose facts the parser checks itself (the rows in _bulk_rows, the
-    # state count and initial state in _parse_int, the accepting line
-    # through the rows' numeral table), so a parsed file is never taken as
-    # minimal
+    # whose facts the parser checks itself (the rows in _bulk_rows or
+    # _line_rows, the state count, initial state and accepting line by
+    # _parse_int or the rows' numeral table), so a parsed file is never
+    # taken as minimal
     _minimal: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -212,10 +212,10 @@ def _trusted_dfa(
     ``minimize`` and ``_canonical_dfa`` number their rows so by
     construction and pass ``minimal=True``: each output is its own
     minimization.  ``parse_dfa`` checks each fact of its file once
-    (``_bulk_rows`` the rows, ``_parse_int`` the state count and initial
-    state, ``_state_ids`` the accepting line, through the rows' numeral
-    table) and passes ``minimal=False``: a parsed file is never taken as
-    minimal.  Every other Dfa goes through the checked constructor.
+    (``_bulk_rows`` or ``_line_rows`` the rows, ``_parse_int`` the state
+    count and initial state, the accepting line through the rows' numeral
+    table or ``_parse_int``) and passes ``minimal=False``: a parsed file
+    is never taken as minimal.  Every other Dfa goes through the checked constructor.
     """
     dfa = object.__new__(Dfa)
     object.__setattr__(dfa, "alphabet", alphabet)
@@ -401,19 +401,18 @@ def parse_dfa(text: str) -> Dfa:
     ``;`` starts a comment, blank lines are ignored.  Expected lines:
     ``dfa v1``, ``alphabet <symbols>``, ``states <m>``, ``initial <q>``,
     ``accepting [q...]``, then exactly one ``row <q> <targets...>`` line
-    per state, in any order.  Numerals are read as ``int()`` reads them
-    (the canonical ones of the row block and the accepting line by
-    lookup in a table built for the parse).  Any violation raises
-    DfaParseError naming the line; of several faulty lines, the first in
-    the file.
+    per state, in any order.  Numerals are read as ``int()`` reads them.
+    Any violation raises DfaParseError naming the line; of several
+    faulty lines, the first in the file.
 
     Each fact is checked once, and the value is built from the checked
-    fields without a second pass.  The row block's shape is checked by
-    counts and the block split once (``_bulk_rows``); the accepting line
-    is read after it, through the same numeral table.  When a bulk check
-    fails, the accepting line is read through ``int()``, so its fault is
-    still the one reported, and the row block's lines are numbered and
-    checked one by one to name the first fault.
+    fields without a second pass.  A row block as ``serialize_dfa``
+    writes it, rows in state order with canonical numerals, is checked
+    by counts, split once and read by lookup in a table of the canonical
+    numerals (``_bulk_rows``); the accepting line shares the table.  Any
+    other block is numbered and read line by line (``_line_rows``), to
+    the same values and errors but about three times slower; the
+    accepting line is then read by ``int()`` first, so its fault wins.
     """
     raw = text.splitlines()
     if _COMMENT_CHAR in text:
@@ -453,13 +452,12 @@ def parse_dfa(text: str) -> Dfa:
     # numbered: str.strip drops the whitespace that str.split splits on
     row_lines = list(filter(None, map(str.strip, islice(raw, lineno, None))))
     rows, numerals = _bulk_rows(row_lines, m, len(alphabet)) or (None, {})
-    # through the rows' table; with no table, through int() as a whole
-    accepting = _state_ids(tokens[1:], numerals, m)
-    if accepting is None:
-        for token in tokens[1:]:  # raises at the first faulty token
-            _parse_int(token, lineno, "accepting state", m)
+    try:  # through the rows' table
+        accepting = list(map(numerals.__getitem__, tokens[1:]))
+    except KeyError:  # raises at the first faulty token
+        accepting = [_parse_int(t, lineno, "accepting state", m) for t in tokens[1:]]
     if rows is None:
-        _raise_row_error(raw, lineno, m, alphabet)
+        rows = _line_rows(raw, lineno, m, alphabet)
     return _trusted_dfa(alphabet, rows, initial, accepting, minimal=False)
 
 
@@ -481,42 +479,22 @@ def _parse_int(token: str, lineno: int, what: str, m: int | None = None) -> int:
     return q
 
 
-def _state_ids(tokens: list[str], numerals: dict[str, int], m: int) -> list[int] | None:
-    """``tokens`` read as state ids in [0, m), or None if one is not.
-
-    A token is read by lookup in ``numerals``, which maps the canonical
-    numerals ``"0"`` to ``str(m - 1)`` to their values: one lookup reads
-    a numeral and checks its range.  A token not in it (``+1``, ``01``,
-    a fault) sends all of ``tokens`` through ``int()`` and the range
-    test, to the same values.
-    """
-    try:
-        return list(map(numerals.__getitem__, tokens))
-    except KeyError:
-        try:
-            ids = list(map(int, tokens))
-        except ValueError:
-            return None
-        if ids and (min(ids) < 0 or max(ids) >= m):
-            return None
-        return ids
-
-
 def _bulk_rows(
     lines: list[str], m: int, width: int
 ) -> tuple[list[tuple[int, ...]], dict[str, int]] | None:
     """The m rows' targets in state order, each a tuple of exact ints in
     [0, m), and the numeral table they were read with; or None unless
-    ``lines``, stripped and not blank, are exactly m faultless row lines.
+    ``lines``, stripped and not blank, are exactly m rows for the states
+    0 to m-1 in order, with canonical numerals in [0, m).
 
     The block's shape is checked by counts, then it is split once.  With
     m lines, each starting with ``row``, and m * (2 + width) tokens whose
     every (2 + width)-th one is ``row``, each line holds exactly one row:
     every other token must read as a numeral, so each line's first
     token sits in one of the m ``row`` places, and each line spans one
-    row's tokens, not spilling onto the next.  The numerals are then
-    read by ``_state_ids`` with a table built for this call, only once
-    the shape checks pass.
+    row's tokens, not spilling onto the next.  Then each numeral is read
+    by one lookup in a table of ``"0"`` to ``str(m - 1)``, which also
+    checks its range.
     """
     stride = 2 + width
     if len(lines) != m:
@@ -531,28 +509,26 @@ def _bulk_rows(
     del tokens[::stride]
     # sized by the m lines already read, never by the declared count alone
     numerals = {str(q): q for q in range(m)}
-    numbers = _state_ids(tokens, numerals, m)
-    if numbers is None:
+    try:
+        numbers = list(map(numerals.__getitem__, tokens))
+    except KeyError:
         return None
     per_row = 1 + width
-    states = numbers[::per_row]
-    rows = list(zip(*(numbers[c::per_row] for c in range(1, per_row))))
-    if states != list(range(m)):
-        by_state = dict(zip(states, rows))
-        if len(by_state) != m:
-            return None
-        rows = list(map(by_state.__getitem__, range(m)))
-    return rows, numerals
+    if numbers[::per_row] != list(range(m)):
+        return None
+    return list(zip(*(numbers[c::per_row] for c in range(1, per_row)))), numerals
 
 
-def _raise_row_error(raw: list[str], start: int, m: int, alphabet: Alphabet) -> NoReturn:
-    """Raise the error of the first faulty line after line ``start`` of
-    ``raw``, the row block numbered and checked line by line and token by
-    token: a faulty row, content past the m-th row, or else too few rows."""
+def _line_rows(raw: list[str], start: int, m: int, alphabet: Alphabet) -> list[tuple[int, ...]]:
+    """The m rows' targets in state order, the lines after line ``start``
+    of ``raw`` numbered and checked one by one, numerals read by
+    ``int()``; or the error of the first faulty line: a faulty row,
+    content past the m-th row, or else too few rows."""
     width = len(alphabet)
-    seen = set()
-    for count, (lineno, tokens) in enumerate(_content_lines(raw, start)):
-        if count == m:
+    # grown by the rows read, never sized by the declared count
+    by_state: dict[int, tuple[int, ...]] = {}
+    for lineno, tokens in _content_lines(raw, start):
+        if len(by_state) == m:
             raise DfaParseError(f"unexpected content {' '.join(tokens)!r} after last row", lineno)
         if tokens[0] != "row":
             raise DfaParseError(f"expected 'row ...', got {tokens[0]!r}", lineno)
@@ -563,12 +539,12 @@ def _raise_row_error(raw: list[str], start: int, m: int, alphabet: Alphabet) -> 
                 lineno,
             )
         q = _parse_int(tokens[1], lineno, "row state", m)
-        if q in seen:
+        if q in by_state:
             raise DfaParseError(f"duplicate row for state {q}", lineno)
-        seen.add(q)
-        for token in tokens[2:]:
-            _parse_int(token, lineno, "row target", m)
-    raise DfaParseError(f"unexpected end of input, expected 'row <q> <{width} targets>'")
+        by_state[q] = tuple([_parse_int(t, lineno, "row target", m) for t in tokens[2:]])
+    if len(by_state) < m:
+        raise DfaParseError(f"unexpected end of input, expected 'row <q> <{width} targets>'")
+    return [by_state[q] for q in range(m)]
 
 
 def serialize_dfa(dfa: Dfa) -> str:

@@ -3,6 +3,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from dfadist import automata
 from dfadist.automata import (
     Alphabet,
     AlphabetError,
@@ -234,6 +235,42 @@ def test_parse_large_dfa_in_any_row_order(rng):
     parsed = parse_dfa("\n".join(shuffled))
     assert parsed == d
     assert_parsed_value(parsed)
+    # and the last state's first target spelled "+t": both reasons to read
+    # the block line by line at once
+    q = d.state_count - 1
+    assert shuffled[6] == f"row {q} {d.delta[q][0]} {d.delta[q][1]}"
+    shuffled[6] = f"row {q} +{d.delta[q][0]} {d.delta[q][1]}"
+    text = "\n".join(shuffled)
+    parsed = parse_dfa(text)
+    assert parsed == d == parse_dfa_reference(text)
+    assert_parsed_value(parsed)
+
+
+def test_parse_reads_only_other_layouts_line_by_line(rng, monkeypatch):
+    # the bulk path serves the layout serialize_dfa writes: a canonical
+    # file sent line by line would parse to the same value, only slower
+    calls = []
+    line_rows = automata._line_rows
+
+    def counting_line_rows(*args):
+        calls.append(args)
+        return line_rows(*args)
+
+    monkeypatch.setattr(automata, "_line_rows", counting_line_rows)
+    d = random_dfa(rng, 500)
+    lines = serialize_dfa(d).splitlines()
+    assert parse_dfa("\n".join(lines)) == d
+    assert calls == []
+    reversed_rows = lines[:5] + lines[5:][::-1]
+    assert parse_dfa("\n".join(reversed_rows)) == d
+    assert len(calls) == 1
+    loose = lines[:5] + [f"row 0 07 {d.delta[0][1]}"] + lines[6:]
+    assert parse_dfa("\n".join(loose)).delta[0] == (7, d.delta[0][1])
+    assert len(calls) == 2
+    faulty = lines[:5] + [f"row 0 500 {d.delta[0][1]}"] + lines[6:]
+    with pytest.raises(DfaParseError, match=r"^line 6: row target 500 outside \[0,500\)$"):
+        parse_dfa("\n".join(faulty))
+    assert len(calls) == 3
 
 
 def test_parse_huge_state_count_allocates_nothing():
@@ -337,7 +374,7 @@ def test_parse_accepting_line_names_the_first_faulty_token(tokens, message):
 
 
 # the row block's canonical numerals are read by lookup in a table built
-# for the parse; any other numeral sends the block through int()
+# for the parse; any other numeral sends the block to the line walk
 @pytest.mark.parametrize(
     "spell",
     [

@@ -442,10 +442,13 @@ def test_parser_built_once_per_process(workdir, capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    argv = ("word", workdir / "example_a.dfa", workdir / "example_b.dfa")
-    assert run(capsys, *argv)[:2] == (0, "aaaaaaa\n")
+    # an option call: positional-only calls are dispatched without a parser
+    cli._parser.cache_clear()
+    argv = ("synth", workdir / "example_a.dfa", workdir / "example_b.dfa", "--max-k", "2")
+    assert run(capsys, *argv)[:2] == (0, "k=2 orientation=1\n")
     first = len(built)
-    assert run(capsys, *argv)[:2] == (0, "aaaaaaa\n")
+    assert first > 0
+    assert run(capsys, *argv)[:2] == (0, "k=2 orientation=1\n")
     assert len(built) == first
 
 
