@@ -6,7 +6,7 @@ construction, so every operation can assume a complete DFA.  Provides:
 - immutable ``Dfa`` values with run/accept simulation
 - two walks over the state pairs two automata reach together: a yes/no
   walk behind inclusion and equivalence, and a BFS that numbers the
-  pairs, keeps their rows and rebuilds a shortest witness word
+  pairs, keeps their successor columns and rebuilds a shortest witness word
 - Hopcroft minimization, its blocks numbered in BFS order, and
   ``_canonical_dfa``, which numbers the states of an automaton minimal
   by construction the same way
@@ -93,10 +93,8 @@ class Dfa:
     accepting: frozenset[int]
     # set only by _trusted_dfa: true for the output of minimize and of
     # _canonical_dfa, each its own minimization; false for parse_dfa's,
-    # whose facts the parser checks itself (the rows in _bulk_rows or
-    # _line_rows, the state count, initial state and accepting line by
-    # _parse_int or the rows' numeral table), so a parsed file is never
-    # taken as minimal
+    # which checks every fact of its file itself, so a parsed file is
+    # never taken as minimal
     _minimal: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -211,11 +209,9 @@ def _trusted_dfa(
     initial state and accepting states that are exact ints in [0, m).
     ``minimize`` and ``_canonical_dfa`` number their rows so by
     construction and pass ``minimal=True``: each output is its own
-    minimization.  ``parse_dfa`` checks each fact of its file once
-    (``_bulk_rows`` or ``_line_rows`` the rows, ``_parse_int`` the state
-    count and initial state, the accepting line through the rows' numeral
-    table or ``_parse_int``) and passes ``minimal=False``: a parsed file
-    is never taken as minimal.  Every other Dfa goes through the checked constructor.
+    minimization.  ``parse_dfa`` checks every fact of its file itself and
+    passes ``minimal=False``: a parsed file is never taken as minimal.
+    Every other Dfa goes through the checked constructor.
     """
     dfa = object.__new__(Dfa)
     object.__setattr__(dfa, "alphabet", alphabet)
@@ -310,9 +306,10 @@ def _pair_search(
 
     Successors go in alphabet order and pairs are numbered in discovery
     order from the initial pair.  Returns at the first pair satisfying
-    ``stop``, tested as it is expanded, with ``(pairs, rows of the
-    expanded pairs, word)``: the word reaches that pair (None without a
-    hit) and is the first such word in length-lexicographic order, and
+    ``stop``, tested as it is expanded, with ``(pairs, step, word)``:
+    ``step[c][i]`` numbers the c-th symbol's successor of each pair i
+    expanded before it; the word reaches that pair (None without a hit)
+    and is the first such word in length-lexicographic order, and
     ``pairs`` may hold pairs discovered past it.
     """
     _require_same_alphabet(a, b)
@@ -321,16 +318,15 @@ def _pair_search(
     index = {start: 0}
     pairs = [start]
     parent = [0]  # parent number * width + symbol index; unused for pair 0
-    rows = []
+    step: list[list[int]] = [[] for _ in range(width)]
     for i, (s, t) in enumerate(pairs):
         if stop is not None and stop(s, t):
             letters = []
             while i:
                 i, c = divmod(parent[i], width)
                 letters.append(a.alphabet.symbols[c])
-            return pairs, rows, "".join(reversed(letters))
+            return pairs, step, "".join(reversed(letters))
         arow, brow = a.delta[s], b.delta[t]
-        row = []
         for c in range(width):
             np = (arow[c], brow[c])
             j = index.get(np)
@@ -338,9 +334,8 @@ def _pair_search(
                 j = index[np] = len(pairs)
                 pairs.append(np)
                 parent.append(i * width + c)
-            row.append(j)
-        rows.append(row)
-    return pairs, rows, None
+            step[c].append(j)
+    return pairs, step, None
 
 
 def _pairs_differ(a: Dfa, b: Dfa, differ: Callable[[bool, bool], bool]) -> bool:
@@ -349,7 +344,7 @@ def _pairs_differ(a: Dfa, b: Dfa, differ: Callable[[bool, bool], bool]) -> bool:
 
     A yes/no walk: one ``seen`` set and a FIFO list, returning at the
     first such pair.  It is kept apart from ``_pair_search``, which also
-    numbers the pairs, keeps their rows and parent pointers for its word;
+    numbers the pairs, keeps their successors and parent pointers for its word;
     inclusion and equivalence read none of that.  On the 308 ``is_subset``
     calls that ``verify_lemma`` makes over the 83-formula battery (half of
     them hold, so walk every reachable pair), this walk took 5.3 ms (median
@@ -406,18 +401,19 @@ def parse_dfa(text: str) -> Dfa:
     faulty lines, the first in the file.
 
     Each fact is checked once, and the value is built from the checked
-    fields without a second pass.  A row block as ``serialize_dfa``
-    writes it, rows in state order with canonical numerals, is checked
-    by counts, split once and read by lookup in a table of the canonical
-    numerals (``_bulk_rows``); the accepting line shares the table.  Any
-    other block is numbered and read line by line (``_line_rows``), to
-    the same values and errors but about three times slower; the
-    accepting line is then read by ``int()`` first, so its fault wins.
+    fields without a second pass; ``_parse_int`` reads the state count
+    and initial state.  A row block as ``serialize_dfa`` writes it, rows
+    in state order with canonical numerals, is checked by counts, split
+    once and read by lookup in a table of the canonical numerals
+    (``_bulk_rows``); the accepting line shares the table.  Any other
+    block is read line by line where the header's walk stopped
+    (``_line_rows``), to the same values and errors but about three
+    times slower; the accepting line is read first, so its fault wins.
     """
     raw = text.splitlines()
     if _COMMENT_CHAR in text:
         raw = [line.partition(_COMMENT_CHAR)[0] for line in raw]
-    lines = _content_lines(raw, 0)
+    lines = filter(itemgetter(1), enumerate(map(str.split, raw), start=1))
 
     def take(what: str, keyword: str | None = None) -> tuple[int, list[str]]:
         line = next(lines, None)
@@ -457,15 +453,8 @@ def parse_dfa(text: str) -> Dfa:
     except KeyError:  # raises at the first faulty token
         accepting = [_parse_int(t, lineno, "accepting state", m) for t in tokens[1:]]
     if rows is None:
-        rows = _line_rows(raw, lineno, m, alphabet)
+        rows = _line_rows(lines, m, alphabet)
     return _trusted_dfa(alphabet, rows, initial, accepting, minimal=False)
-
-
-def _content_lines(raw: list[str], start: int) -> Iterator[tuple[int, list[str]]]:
-    """(line number, tokens) of each line of ``raw`` after line ``start``
-    that is not blank once its comment is cut."""
-    numbered = enumerate(map(str.split, islice(raw, start, None)), start=start + 1)
-    return filter(itemgetter(1), numbered)
 
 
 def _parse_int(token: str, lineno: int, what: str, m: int | None = None) -> int:
@@ -519,15 +508,17 @@ def _bulk_rows(
     return list(zip(*(numbers[c::per_row] for c in range(1, per_row)))), numerals
 
 
-def _line_rows(raw: list[str], start: int, m: int, alphabet: Alphabet) -> list[tuple[int, ...]]:
-    """The m rows' targets in state order, the lines after line ``start``
-    of ``raw`` numbered and checked one by one, numerals read by
-    ``int()``; or the error of the first faulty line: a faulty row,
-    content past the m-th row, or else too few rows."""
+def _line_rows(
+    lines: Iterator[tuple[int, list[str]]], m: int, alphabet: Alphabet
+) -> list[tuple[int, ...]]:
+    """The m rows' targets in state order, the (line number, tokens)
+    ``lines`` checked one by one, numerals read by ``int()``; or the
+    error of the first faulty line: a faulty row, content past the m-th
+    row, or else too few rows."""
     width = len(alphabet)
     # grown by the rows read, never sized by the declared count
     by_state: dict[int, tuple[int, ...]] = {}
-    for lineno, tokens in _content_lines(raw, start):
+    for lineno, tokens in lines:
         if len(by_state) == m:
             raise DfaParseError(f"unexpected content {' '.join(tokens)!r} after last row", lineno)
         if tokens[0] != "row":

@@ -93,19 +93,19 @@ class _PairSpace:
     never escapes.  The target must be minimized (synthesis minimizes
     its inputs): then its only state with an empty language, if any, is
     that sink.  On other targets ``doomed`` misses some dead pairs, which
-    the shortcuts built on it allow.  Pair sets are bitmasks;
-    ``bit[c][y]`` is the one-pair image ``1 << step[c][y]``, and
-    ``step_set`` ORs those over a set, one pair at a time (the spaces
-    synthesis meets hold tens of pairs).  Only ``escape_possible`` reads
-    or writes its cache of answers per mask.
+    the shortcuts built on it allow.  ``step`` holds ``_pair_search``'s
+    columns: ``step[c][y]`` numbers pair y's successor on the c-th
+    symbol.  Pair sets are bitmasks; ``bit[c][y]`` is the one-pair image
+    ``1 << step[c][y]``, and ``step_set`` ORs those over a set, one pair
+    at a time (the spaces synthesis meets hold tens of pairs).  Only
+    ``escape_possible`` reads or writes its cache of answers per mask.
     """
 
     def __init__(self, target: Dfa, other: Dfa):
         self.alphabet = target.alphabet
         self.width = width = len(target.alphabet)
-        pairs, rows, _ = _pair_search(target, other)
-        self.step = [[rows[y][c] for y in range(len(pairs))] for c in range(width)]
-        self.bit = [[1 << t for t in row] for row in self.step]
+        pairs, self.step, _ = _pair_search(target, other)
+        self.bit = [[1 << t for t in col] for col in self.step]
         self.pairs = pairs  # (t, x) per pair number
         accepting = target.accepting
         # the rejecting sink: a minimized target has at most one
@@ -193,17 +193,11 @@ def _loop_dfa(alphabet: Alphabet, word: Word) -> Dfa:
     from the sink, which accepts nothing.  Over a one-letter alphabet no
     symbol leads to the sink, which is then never discovered.
     """
-    sink = len(word)  # the positions are 0..sink-1
-    letters = [alphabet.index(symbol) for symbol in word]
-    width = len(alphabet)
-
-    def successors(i: int) -> list[int]:
-        row = [sink] * width
-        if i < sink:
-            row[letters[i]] = (i + 1) % sink
-        return row
-
-    return _canonical_dfa(alphabet, 0, successors, {0}.__contains__)
+    sink, width = len(word), len(alphabet)  # the positions are 0..sink-1
+    rows = [[sink] * width for _ in range(sink + 1)]
+    for i, symbol in enumerate(word):
+        rows[i][alphabet.index(symbol)] = (i + 1) % sink
+    return _canonical_dfa(alphabet, 0, rows.__getitem__, {0}.__contains__)
 
 
 def _cycle_candidate(k: int, space: _PairSpace) -> Dfa | None:

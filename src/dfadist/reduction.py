@@ -269,7 +269,7 @@ def verify_lemma(formula: CnfFormula) -> LemmaReport:
     upper = build_upper_dfa(formula)
     synth = synth_min_distinguishing(upper, lower, k + 2, k_min=k + 2)
     if model is not None:
-        witness = witness_dfa(model[:k])
+        witness = witness_dfa(model)
         if witness != synth.dfa and not is_distinguishing(witness, upper, lower):
             raise RuntimeError(
                 "witness DFA from the solver model failed the distinguishing re-check; "

@@ -107,7 +107,7 @@ def parse_dimacs(text: str) -> CnfInstance:
         raise DimacsParseError("missing 'p cnf' header")
     if current:
         clauses.append(current)
-    if declared_clauses is not None and declared_clauses != len(clauses):
+    if declared_clauses != len(clauses):
         warnings.warn(
             f"header declares {declared_clauses} clauses, found {len(clauses)}",
             stacklevel=2,

@@ -300,11 +300,11 @@ def product(a: Dfa, b: Dfa, combine: Callable[[bool, bool], bool]) -> Dfa:
     Only pairs reachable from the pair of initial states are
     materialized, indexed in BFS discovery order.
     """
-    pairs, rows, _ = _pair_search(a, b)
+    pairs, step, _ = _pair_search(a, b)
     accepting = {
         i for i, (s, t) in enumerate(pairs) if combine(s in a.accepting, t in b.accepting)
     }
-    return Dfa(a.alphabet, rows, 0, accepting)
+    return Dfa(a.alphabet, list(zip(*step)), 0, accepting)
 
 
 def upper_reference(formula: CnfFormula, lower: Dfa) -> Dfa:
