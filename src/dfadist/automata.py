@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from itertools import islice
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -345,12 +344,11 @@ def _pairs_differ(a: Dfa, b: Dfa, differ: Callable[[bool, bool], bool]) -> bool:
     A yes/no walk: one ``seen`` set and a FIFO list, returning at the
     first such pair.  It is kept apart from ``_pair_search``, which also
     numbers the pairs, keeps their successors and parent pointers for its word;
-    inclusion and equivalence read none of that.  On the 308 ``is_subset``
-    calls that ``verify_lemma`` makes over the 83-formula battery (half of
-    them hold, so walk every reachable pair), this walk took 5.3 ms (median
-    of 30 rounds) against 7.7 ms through ``_pair_search``, and one kernel
-    for all callers, numbering pairs and keeping parent pointers but no
-    rows, took 7.6 ms.
+    inclusion and equivalence read none of that.  On the 154 ``is_subset``
+    calls that ``verify_lemma`` makes over the 83-formula battery, two per
+    satisfiable formula (half of them hold, so walk every reachable pair),
+    this walk took 1.6-1.7 ms against 2.4-2.9 ms through ``_pair_search``
+    (medians of 30 rounds, two runs; Python 3.11).
     """
     _require_same_alphabet(a, b)
     acc_a, acc_b = a.accepting, b.accepting
@@ -402,13 +400,10 @@ def parse_dfa(text: str) -> Dfa:
 
     Each fact is checked once, and the value is built from the checked
     fields without a second pass; ``_parse_int`` reads the state count
-    and initial state.  A row block as ``serialize_dfa`` writes it, rows
-    in state order with canonical numerals, is checked by counts, split
-    once and read by lookup in a table of the canonical numerals
-    (``_bulk_rows``); the accepting line shares the table.  Any other
-    block is read line by line where the header's walk stopped
-    (``_line_rows``), to the same values and errors but about three
-    times slower; the accepting line is read first, so its fault wins.
+    and initial state.  A body as ``serialize_dfa`` writes it is read in
+    one bulk pass (``_bulk_body``).  Any other layout, or any fault, is
+    read line by line where the header's walk stopped, accepting line
+    first (``_line_rows``), to the same values and errors.
     """
     raw = text.splitlines()
     if _COMMENT_CHAR in text:
@@ -444,16 +439,11 @@ def parse_dfa(text: str) -> Dfa:
     lineno, tokens = take("'accepting [q...]'")
     if tokens[0] != "accepting":
         raise DfaParseError("expected 'accepting [q...]'", lineno)
-    # the lines after the accepting line, stripped, blank ones dropped, not
-    # numbered: str.strip drops the whitespace that str.split splits on
-    row_lines = list(filter(None, map(str.strip, islice(raw, lineno, None))))
-    rows, numerals = _bulk_rows(row_lines, m, len(alphabet)) or (None, {})
-    try:  # through the rows' table
-        accepting = list(map(numerals.__getitem__, tokens[1:]))
-    except KeyError:  # raises at the first faulty token
+    body = _bulk_body(tokens[1:], raw[lineno:], m, len(alphabet))
+    if body is None:
         accepting = [_parse_int(t, lineno, "accepting state", m) for t in tokens[1:]]
-    if rows is None:
-        rows = _line_rows(lines, m, alphabet)
+        body = accepting, _line_rows(lines, m, alphabet)
+    accepting, rows = body
     return _trusted_dfa(alphabet, rows, initial, accepting, minimal=False)
 
 
@@ -468,13 +458,14 @@ def _parse_int(token: str, lineno: int, what: str, m: int | None = None) -> int:
     return q
 
 
-def _bulk_rows(
-    lines: list[str], m: int, width: int
-) -> tuple[list[tuple[int, ...]], dict[str, int]] | None:
-    """The m rows' targets in state order, each a tuple of exact ints in
-    [0, m), and the numeral table they were read with; or None unless
-    ``lines``, stripped and not blank, are exactly m rows for the states
-    0 to m-1 in order, with canonical numerals in [0, m).
+def _bulk_body(
+    accepting: list[str], lines: list[str], m: int, width: int
+) -> tuple[list[int], list[tuple[int, ...]]] | None:
+    """The accepting states and the m rows' targets in state order, each
+    an exact int in [0, m); or None unless the ``accepting`` tokens and
+    ``lines``, the lines after the accepting line, are the body as
+    ``serialize_dfa`` writes it: m lines, one row per line, the states
+    0 to m-1 in order, canonical numerals in [0, m).
 
     The block's shape is checked by counts, then it is split once.  With
     m lines, each starting with ``row``, and m * (2 + width) tokens whose
@@ -499,13 +490,14 @@ def _bulk_rows(
     # sized by the m lines already read, never by the declared count alone
     numerals = {str(q): q for q in range(m)}
     try:
+        states = list(map(numerals.__getitem__, accepting))
         numbers = list(map(numerals.__getitem__, tokens))
     except KeyError:
         return None
     per_row = 1 + width
     if numbers[::per_row] != list(range(m)):
         return None
-    return list(zip(*(numbers[c::per_row] for c in range(1, per_row)))), numerals
+    return states, list(zip(*(numbers[c::per_row] for c in range(1, per_row))))
 
 
 def _line_rows(

@@ -271,6 +271,15 @@ def test_parse_reads_only_other_layouts_line_by_line(rng, monkeypatch):
     with pytest.raises(DfaParseError, match=r"^line 6: row target 500 outside \[0,500\)$"):
         parse_dfa("\n".join(faulty))
     assert len(calls) == 3
+    # the accepting line and the row lines are one body: a non-canonical
+    # accepting numeral, or a blank line among the rows, sends it all
+    zero = lines[:4] + [lines[4].replace(" ", " 0", 1)] + lines[5:]
+    assert zero[4].startswith("accepting 0")
+    assert parse_dfa("\n".join(zero)) == d
+    assert len(calls) == 4
+    blank = lines[:6] + [""] + lines[6:]
+    assert parse_dfa("\n".join(blank)) == d
+    assert len(calls) == 5
 
 
 def test_parse_huge_state_count_allocates_nothing():

@@ -213,6 +213,18 @@ def test_escape_possible_matches_plain_subset_search(target, other, data):
         assert not any(key & space.doomed for key in space._escape_cache)
 
 
+def test_escape_possible_is_not_monotone_in_the_set():
+    # a set that does not escape can grow into one that does: a search
+    # may not drop z for good from a state because tau[s] | z fails once
+    table = [(1, 2), (1, 1), (2, 2)]
+    target = Dfa("ab", table, 0, {1, 2}).minimize()
+    other = Dfa("ab", table, 0, {1}).minimize()
+    space = _PairSpace(target, other)
+    assert space.pairs == [(0, 0), (1, 1), (1, 2)]
+    assert not space.escape_possible(0b010)
+    assert space.escape_possible(0b110)
+
+
 # ---------------------------------------------------------------------
 # synthesis
 # ---------------------------------------------------------------------
