@@ -8,8 +8,8 @@ distinguishing DFA.
 The per-bound question is "is there a k-state DFA whose language fits
 inside the target automaton and escapes the other one".
 ``synth_min_distinguishing`` answers it, per orientation, with a
-dedicated backtracking search over canonical transition tables.  The
-search tracks pairs (t, x) of states that the two minimized inputs
+pre-pass over loop-shaped candidates and then a dedicated backtracking
+search over canonical transition tables.  The search tracks pairs (t, x) of states that the two minimized inputs
 reach together: a candidate may not accept where t rejects, and it
 escapes once it accepts where t accepts and x rejects.  The tests
 cross-validate that search against an exhaustive brute-force oracle and
@@ -83,7 +83,9 @@ class _PairSpace:
 
     A node is a pair (t, x) of states that the target and the other
     automaton reach together; the search follows candidate states
-    through this space.  ``bad`` marks pairs where t rejects (accepting
+    through this space.  Synthesis builds one per orientation, and only
+    for the search: when the loop pre-pass, which walks the two DFAs
+    themselves, misses at some budget of 2 or more.  ``bad`` marks pairs where t rejects (accepting
     there would break inclusion in the target), ``goal`` marks pairs
     where t accepts and x rejects (accepting there certifies the
     escape).  ``goal`` is empty exactly when L(target) is inside
@@ -200,53 +202,86 @@ def _loop_dfa(alphabet: Alphabet, word: Word) -> Dfa:
     return _canonical_dfa(alphabet, 0, rows.__getitem__, {0}.__contains__)
 
 
-def _cycle_candidate(k: int, space: _PairSpace) -> Dfa | None:
+def _cycle_candidate(k: int, target: Dfa, other: Dfa) -> Dfa | None:
     """Cheap pre-pass: a k-state candidate that loops one word forever.
 
     Such loops (``_loop_dfa``: one state per position of a word of k-1
     letters, plus a sink) are the natural shape of minimal distinguishers
     here, so they are tried in lexicographic order before the search.
     Only state 0 accepts, after whole copies of the word, so its pair set
-    is the orbit of pair 0 under the word: it must meet ``goal`` and avoid
-    ``bad``.  Shorter loops failed at lower budgets, or those budgets
-    were ruled out by the caller's ``k_min``.  At k = 1 the only
-    loop is the empty word's, the universal DFA; its pair set is the space.
+    is the orbit of the initial pair (t, x) under the word: every t in it
+    must accept (the loop stays inside the target) and some x must reject
+    (it escapes the other input).  Shorter loops failed at lower budgets,
+    or those budgets were ruled out by the caller's ``k_min``.
 
-    The words are walked as a tree of prefixes.  A prefix that sends
-    pair 0 to a doomed pair is not extended: every word through it sends
-    pair 0 to a doomed, bad pair of its orbit.  So the first loop found
-    is the first in lexicographic order, without walking all of them.
+    Both inputs must be minimized, as synthesis makes them.  At k = 1 the
+    only loop is the empty word's, the universal DFA: it wins iff the
+    target is one accepting state and the other input has a rejecting
+    state (every state of a minimized DFA is reachable).
+
+    The words are walked as a tree of prefixes over the two DFAs, with
+    the pair each prefix reaches on the stack; a node's two rows are read
+    once for all its letters.  A prefix whose target state is the
+    rejecting sink is not extended: every word through it leaves the
+    target for good.  So the first loop found is the first in
+    lexicographic order, without walking all of them, and no pair space
+    is built.
     """
-    alphabet, step, goal, bad = space.alphabet, space.step, space.goal, space.bad
+    alphabet, width = target.alphabet, len(target.alphabet)
+    t_delta, t_acc = target.delta, target.accepting
+    x_delta, x_acc = other.delta, other.accepting
     if k == 1:
-        return _loop_dfa(alphabet, "") if goal and not bad else None
+        universal = len(t_delta) == 1 and bool(t_acc)
+        return _loop_dfa(alphabet, "") if universal and len(x_acc) < len(x_delta) else None
+    t0, x0 = target.initial, other.initial
+    if t0 not in t_acc:  # the initial pair is on every orbit
+        return None
+    # the rejecting sink: a minimized target has at most one
+    sink = next(
+        (t for t, row in enumerate(t_delta) if t not in t_acc and row.count(t) == width),
+        None,
+    )
     # depth-first over the words of k-1 letters in lexicographic order;
-    # an entry (depth, c, y) puts letter c at ``depth`` of ``word``, and
-    # y is the image of pair 0 under the prefix that c ends
-    last, doomed = k - 1, space.doomed
+    # an entry (depth, c, t, x) puts letter c at ``depth`` of ``word``,
+    # and (t, x) is the image of the initial pair under the prefix c ends
+    last, letters = k - 1, range(width - 1, -1, -1)
     word = [0] * last
-    stack = [(0, c, step[c][0]) for c in reversed(range(space.width))]
+    t_row, x_row = t_delta[t0], x_delta[x0]
+    stack = [(0, c, t_row[c], x_row[c]) for c in letters if t_row[c] != sink]
     while stack:
-        depth, c, y = stack.pop()
-        if doomed >> y & 1:
-            continue
+        depth, c, t, x = stack.pop()
         word[depth] = c
         depth += 1
         if depth < last:
-            stack.extend((depth, d, step[d][y]) for d in reversed(range(space.width)))
+            t_row, x_row = t_delta[t], x_delta[x]
+            stack.extend([(depth, d, t_row[d], x_row[d]) for d in letters if t_row[d] != sink])
             continue
-        orbit = 1  # pair 0; y is its image under the whole word
-        while not orbit >> y & 1:
-            orbit |= 1 << y
-            for c in word:
-                y = step[c][y]
-        if orbit & goal and not orbit & bad:
-            return _loop_dfa(alphabet, "".join(alphabet.symbols[c] for c in word))
+        # the target states of the initial pair's orbit are t0's orbit,
+        # and its other states x0's orbit, so each DFA is walked alone
+        if _orbit_accepted(t0, t, word, t_delta, t_acc) and not _orbit_accepted(
+            x0, x, word, x_delta, x_acc
+        ):
+            return _loop_dfa(alphabet, "".join(alphabet.symbols[d] for d in word))
     return None
 
 
+def _orbit_accepted(start: int, image: int, word: list[int], delta, accepting) -> bool:
+    """Does every state of ``start``'s orbit under the word accept?
+
+    ``image`` is ``start``'s image under the word.  The walk stops at the
+    first rejecting state or when the word leads back into the orbit.
+    """
+    orbit = {start}
+    q = image
+    while q in accepting and q not in orbit:
+        orbit.add(q)
+        for d in word:
+            q = delta[q][d]
+    return start in accepting and q in accepting
+
+
 def _search_feasible(k: int, space: _PairSpace) -> Dfa | None:
-    """Complete bounded synthesis for one orientation.
+    """Bounded synthesis for one orientation, behind the loop pre-pass.
 
     Depth-first search over canonical transition tables (states are
     numbered in first-use order, so each reachable table is visited once
@@ -263,15 +298,14 @@ def _search_feasible(k: int, space: _PairSpace) -> Dfa | None:
     subtrees without a solution, so the first table found is the one an
     unpruned search would find.
 
-    The search runs only when ``_cycle_candidate`` finds no k-state loop,
-    and never at k = 1, whose only candidate is that loop.  Either way the
-    answer is complete for k states; which DFA comes back assumes, as in
-    ``synth_min_distinguishing``, that lower budgets were tried first or
-    ruled out by the caller's ``k_min``.
+    The search runs only after ``_cycle_candidate`` found no k-state
+    loop, and returns None at once at k = 1, whose only candidate is that
+    loop.  The two together are complete for k states; which DFA comes
+    back assumes, as in ``synth_min_distinguishing``, that lower budgets
+    were tried first or ruled out by the caller's ``k_min``.
     """
-    looped = _cycle_candidate(k, space)
-    if looped is not None or k == 1:
-        return looped
+    if k == 1:
+        return None
     width = space.width
     tau = [1 << 0]  # pair sets per used candidate state; pair 0 is initial
     delta: list[list[int | None]] = [[None] * width]
@@ -494,11 +528,17 @@ def synth_min_distinguishing(a1: Dfa, a2: Dfa, k_max: int, k_min: int = 1) -> Sy
     a2; the first hit is minimal in k with ties broken toward a1.
     ``k_min`` is a lower bound the caller has proven: no distinguisher
     of the pair has fewer states, so the budgets below it are skipped
-    rather than refuted.  It must satisfy 1 <= k_min <= k_max.  Equal
-    languages return at once, with the whole budget as the bound.  The
+    rather than refuted.  It must satisfy 1 <= k_min <= k_max.  The
     returned DFA is minimized and defensively re-checked: it must
     distinguish the pair, and it must have at least ``k_min`` states, or
     the caller's bound is false.
+
+    Each budget and orientation tries the loop pre-pass first, on the two
+    minimized inputs.  An orientation's pair space is built only when its
+    pre-pass misses at some k >= 2, once, for the search.  The first
+    space built also tells which orientations have a goal pair: one
+    without is skipped from then on, and with none (equal languages) the
+    call returns at once, with the whole budget as the bound.
     """
     _require_same_alphabet(a1, a2)
     if k_max < 1:
@@ -506,19 +546,33 @@ def synth_min_distinguishing(a1: Dfa, a2: Dfa, k_max: int, k_min: int = 1) -> Sy
     if not 1 <= k_min <= k_max:
         raise ValueError(f"need 1 <= k_min <= k_max, got k_min={k_min}, k_max={k_max}")
     m1, m2 = a1.minimize(), a2.minimize()
-    # no goal pair: the target language is inside the other, so no
-    # subset of it can escape; skip the orientation outright
-    first = _PairSpace(m1, m2)
-    prepared = [(Orientation.FIRST, first)] if first.goal else []
-    # the second orientation's goal pairs are the first space's pairs
-    # where m2 accepts and m1 rejects; without one its space is not built
-    if any(s2 in m2.accepting and s1 not in m1.accepting for s1, s2 in first.pairs):
-        prepared.append((Orientation.SECOND, _PairSpace(m2, m1)))
-    if not prepared:  # equal languages: no budget can help
-        return SynthOutcome(None, None, k_max)
+    sides = ((Orientation.FIRST, m1, m2), (Orientation.SECOND, m2, m1))
+    # each orientation's pair space once built; None marks an orientation
+    # without a goal pair
+    spaces: dict[Orientation, _PairSpace | None] = {}
     for k in range(k_min, k_max + 1):
-        for orientation, space in prepared:
-            candidate = _search_feasible(k, space)
+        for orientation, target, other in sides:
+            if orientation in spaces and spaces[orientation] is None:
+                continue
+            candidate = _cycle_candidate(k, target, other)
+            if candidate is None and k > 1:
+                if not spaces:
+                    # no goal pair: the target language is inside the
+                    # other, so no subset of it can escape
+                    first = _PairSpace(m1, m2)
+                    spaces[Orientation.FIRST] = first if first.goal else None
+                    # the second orientation's goal pairs are the first
+                    # space's pairs where m2 accepts and m1 rejects
+                    if not any(s2 in m2.accepting and s1 not in m1.accepting for s1, s2 in first.pairs):
+                        if not first.goal:  # equal languages: no budget can help
+                            return SynthOutcome(None, None, k_max)
+                        spaces[Orientation.SECOND] = None
+                if orientation not in spaces:
+                    spaces[orientation] = _PairSpace(target, other)
+                space = spaces[orientation]
+                if space is None:
+                    continue
+                candidate = _search_feasible(k, space)
             if candidate is None:
                 continue
             dfa = candidate.minimize()
@@ -532,5 +586,10 @@ def synth_min_distinguishing(a1: Dfa, a2: Dfa, k_max: int, k_min: int = 1) -> Sy
                     f"synthesized distinguisher has {dfa.state_count} states, fewer than "
                     f"the lower bound k_min={k_min}; the caller's bound is false"
                 )
-            return SynthOutcome(dfa, orientation, k, sum(s.nodes for _, s in prepared))
-    return SynthOutcome(None, None, k_max, sum(s.nodes for _, s in prepared))
+            return SynthOutcome(dfa, orientation, k, _nodes(spaces))
+    return SynthOutcome(None, None, k_max, _nodes(spaces))
+
+
+def _nodes(spaces: dict[Orientation, _PairSpace | None]) -> int:
+    """Search nodes entered over the pair spaces built."""
+    return sum(space.nodes for space in spaces.values() if space is not None)

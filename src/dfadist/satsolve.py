@@ -1,6 +1,7 @@
 """Small complete SAT engine: DPLL with unit propagation, plus DIMACS input.
 
-Deliberately simple: two-watched-literal propagation, chronological
+Deliberately simple: two-watched-literal propagation (a clause's search
+for a new watch resumes where its last one stopped), chronological
 backtracking, a fixed branching rule (lowest-indexed unassigned variable,
 false before true), no clause learning and no restarts.  That keeps the
 engine auditable and makes ``solve`` fully deterministic.  A decision is
@@ -115,6 +116,19 @@ def parse_dimacs(text: str) -> CnfInstance:
     return CnfInstance(var_count, clauses)
 
 
+class _Clause(list):
+    """A clause's distinct literals, watched at slots 0 and 1.
+
+    ``scan`` is the slot where the clause's last search for a new watch
+    stopped; the next one starts there and goes round the slots past the
+    watches, so a long clause is not rescanned from slot 2 each time
+    (Gent, JAIR 2013).  Which watch is found does not change the closure
+    of unit propagation, so the models stay the same.
+    """
+
+    __slots__ = ("scan",)
+
+
 def solve(instance: CnfInstance) -> Model | None:
     """Complete DPLL search; a satisfying Model or None for unsat.
 
@@ -127,13 +141,14 @@ def solve(instance: CnfInstance) -> Model | None:
     nvars = instance.var_count
     assign: list[bool | None] = [None] * (nvars + 1)
     trail: list[int] = []
-    # watch lists: literal -> clauses (as mutable lists with watches at slots 0/1)
-    watch: dict[int, list[list[int]]] = {}
+    # watch lists: literal -> clauses (with watches at slots 0/1)
+    watch: dict[int, list[_Clause]] = {}
     for clause in instance.clauses:
-        lits = list(dict.fromkeys(clause))
+        lits = _Clause(dict.fromkeys(clause))
         if not lits:
             return None
         if len(lits) > 1:
+            lits.scan = 2
             watch.setdefault(lits[0], []).append(lits)
             watch.setdefault(lits[1], []).append(lits)
         elif assign[abs(lits[0])] is None:
@@ -159,13 +174,17 @@ def solve(instance: CnfInstance) -> Model | None:
                 if oval is not None and oval == (other > 0):
                     keep.append(lits)
                     continue
-                for k in range(2, len(lits)):
+                size = len(lits)
+                k = lits.scan
+                for _ in range(2, size):
                     cand = lits[k]
                     cval = assign[abs(cand)]
                     if cval is None or cval == (cand > 0):
                         lits[1], lits[k] = lits[k], lits[1]
+                        lits.scan = k
                         watch.setdefault(cand, []).append(lits)
                         break
+                    k = k + 1 if k + 1 < size else 2
                 else:
                     keep.append(lits)
                     if oval is not None:

@@ -30,7 +30,7 @@ from dfadist.distinguish import (
     shortest_distinguishing_word,
     synth_min_distinguishing,
 )
-from dfadist.reduction import CnfFormula, build_lower_dfa, build_upper_dfa
+from dfadist.reduction import CnfFormula, build_lower_dfa, build_upper_dfa, verify_lemma
 
 from support import (
     all_words,
@@ -43,6 +43,7 @@ from support import (
     language_up_to,
     random_dfa,
     random_pair_battery,
+    truth_table_satisfiable,
 )
 
 
@@ -148,12 +149,16 @@ def test_search_feasibility_matches_exhaustive_reference(rng, example_a, example
     for i, (a, b) in enumerate(pairs):
         for orientation in Orientation:
             target, escape = (a, b) if orientation is Orientation.FIRST else (b, a)
-            space = _PairSpace(target.minimize(), escape.minimize())
+            minimized = target.minimize(), escape.minimize()
+            space = _PairSpace(*minimized)
             # synthesis skips an orientation without goal pairs
             assert (space.goal == 0) == is_subset(target, escape)
             skipped += not space.goal
             for k in (1, 2):
-                found = _search_feasible(k, space)
+                # the search runs where the loop pre-pass misses
+                found = _cycle_candidate(k, *minimized)
+                if found is None:
+                    found = _search_feasible(k, space)
                 feasible[i, orientation, k] = found is not None
                 assert (found is not None) == exhaustive_feasible(a.alphabet, k, target, escape)
                 if found is not None:
@@ -235,10 +240,9 @@ def test_cycle_candidate_tries_only_k_state_loops():
     formula = CnfFormula(1, [(1,)])
     lower = build_lower_dfa(formula.var_count, formula.clause_count)
     upper = build_upper_dfa(formula)
-    space = _PairSpace(upper.minimize(), lower.minimize())
     sizes = []
     for k in range(1, 5):
-        loop = _cycle_candidate(k, space)
+        loop = _cycle_candidate(k, upper.minimize(), lower.minimize())
         if loop is not None:
             assert loop.state_count == k
             assert is_subset(loop, upper) and not is_subset(loop, lower)
@@ -252,7 +256,6 @@ def test_cycle_candidate_matches_loop_semantics():
     # other automaton, judged by plain inclusion checks
     for a, b in random_pair_battery() + hard_pair_battery():
         for target, other in ((a.minimize(), b.minimize()), (b.minimize(), a.minimize())):
-            space = _PairSpace(target, other)
             for k in range(1, 5):
                 expected = None
                 # at k = 1 the only word is the empty one: the universal DFA
@@ -261,7 +264,7 @@ def test_cycle_candidate_matches_loop_semantics():
                     if is_subset(loop, target) and not is_subset(loop, other):
                         expected = loop
                         break
-                assert _cycle_candidate(k, space) == expected
+                assert _cycle_candidate(k, target, other) == expected
 
 
 def test_loop_dfa_is_built_minimal():
@@ -285,10 +288,13 @@ def test_loop_dfa_is_built_minimal():
 
 
 def test_cycle_candidate_matches_the_unpruned_walk():
-    # cutting prefixes that reach a doomed pair keeps the lexicographic
-    # order: the same loop as enumerating every word, on random formulas
-    # and both orientations of their reduction pairs
+    # the walk over the two DFAs, cutting prefixes at the target's sink,
+    # finds the same loop as enumerating every word over the pair space,
+    # on both orientations of the random and hard pairs and of the
+    # reduction pairs of random formulas (all minimal), at k = 1..4 and
+    # on each formula up to k + 3
     rng = random.Random(23)
+    cases = [(a.minimize(), b.minimize(), 4) for a, b in random_pair_battery() + hard_pair_battery()]
     for _ in range(40):
         k = rng.randint(1, 4)
         clauses = [
@@ -297,11 +303,16 @@ def test_cycle_candidate_matches_the_unpruned_walk():
         ]
         formula = CnfFormula(k, clauses)
         lower = build_lower_dfa(k, formula.clause_count)
-        upper = build_upper_dfa(formula)
-        for target, other in ((upper, lower), (lower, upper)):
+        cases.append((build_upper_dfa(formula), lower, max(4, k + 3)))
+    found = 0
+    for a, b, top in cases:
+        for target, other in ((a, b), (b, a)):
             space = _PairSpace(target, other)
-            for budget in range(1, k + 4):
-                assert _cycle_candidate(budget, space) == cycle_candidate_reference(budget, space)
+            for budget in range(1, top + 1):
+                loop = _cycle_candidate(budget, target, other)
+                assert loop == cycle_candidate_reference(budget, space)
+                found += loop is not None
+    assert found > 0
 
 
 def test_synth_example_pair_two_states(example_a, example_b):
@@ -391,7 +402,7 @@ def test_synth_catches_a_false_lower_bound(example_a, example_b, odd_length, mon
     with pytest.raises(RuntimeError, match="fewer than the lower bound k_min=3"):
         synth_min_distinguishing(example_a, example_b, 3, k_min=3)
     # a candidate smaller than k_min is refused even when it distinguishes
-    monkeypatch.setattr(distinguish, "_search_feasible", lambda k, space: odd_length)
+    monkeypatch.setattr(distinguish, "_cycle_candidate", lambda k, target, other: odd_length)
     with pytest.raises(RuntimeError, match="fewer than the lower bound k_min=3"):
         synth_min_distinguishing(example_a, example_b, 4, k_min=3)
 
@@ -557,18 +568,19 @@ def test_synth_spaces_doom_exactly_the_dead_pairs(built_spaces):
         built_spaces.clear()
         synth_min_distinguishing(a1, a2, budget)
         m1, m2 = a1.minimize(), a2.minimize()
-        (_, t, o), *rest = built_spaces
-        assert (t, o) == (m1, m2)
-        if rest:
+        # a space is built once per orientation, the first one's first,
+        # and none when the loop pre-pass answers
+        assert [(t, o) for _, t, o in built_spaces] == [(m1, m2), (m2, m1)][: len(built_spaces)]
+        if len(built_spaces) == 2:
             # the second orientation's space has a goal pair and matches
             # a space built on its own
-            ((second, t, o),) = rest
-            assert (t, o) == (m2, m1) and second.goal
+            second, t, o = built_spaces[1]
+            assert second.goal
             alone = _PairSpace(t, o)
             assert (second.step, second.bad, second.goal) == (alone.step, alone.bad, alone.goal)
-        else:
+        elif _PairSpace(m2, m1).goal == 0:
             # an orientation without a goal pair is never built
-            assert _PairSpace(m2, m1).goal == 0
+            assert len(built_spaces) <= 1
         per_case.append(list(built_spaces))
     # lower is inside upper: no reduction pair builds its second space
     assert all(len(built) == 1 for built in per_case[: len(battery)])
@@ -579,6 +591,30 @@ def test_synth_spaces_doom_exactly_the_dead_pairs(built_spaces):
     # with '#'), and so do some of the random pairs' targets
     assert all(built[0][0].doomed for built in per_case[: len(battery)])
     assert any(s.doomed for built in per_case[len(battery) :] for s, _, _ in built)
+
+
+def test_verify_lemma_builds_a_pair_space_only_to_refute(built_spaces):
+    # at budget k+2 the loop pre-pass answers each satisfiable formula on
+    # the two DFAs, so only an unsatisfiable one builds a pair space, for
+    # the search; lower is inside upper, so the second is never built
+    counts = {True: 0, False: 0}
+    for formula in battery_formulas():
+        built_spaces.clear()
+        satisfiable = truth_table_satisfiable(formula.var_count, formula.clauses)
+        assert verify_lemma(formula).synth.found == satisfiable
+        lower = build_lower_dfa(formula.var_count, formula.clause_count)
+        upper = build_upper_dfa(formula)
+        if satisfiable:
+            assert built_spaces == []
+            space = _PairSpace(upper, lower)
+        else:
+            ((space, t, o),) = built_spaces
+            assert (t, o) == (upper, lower)
+        # every upper DFA has a sink (no word of upper starts with '#'),
+        # and the builders' DFAs are minimal: it dooms exactly the dead pairs
+        assert space.doomed and space.doomed == dead_pairs(upper, lower)
+        counts[satisfiable] += 1
+    assert counts[True] > 0 and counts[False] > 0
 
 
 def test_synth_battery_answers_and_nodes_are_pinned():

@@ -213,3 +213,14 @@ def test_solve_unconstrained_variables_are_linear():
     model, seconds = timed_solve(CnfInstance(n, []))
     assert model == (False,) * n
     assert seconds < 2
+
+
+def test_solve_one_long_clause_is_linear():
+    # false-first decisions falsify the watches of x1 ∨ … ∨ xn one by one,
+    # and each search for a new watch resumes where the last one stopped;
+    # restarting at slot 2 passes every false literal again (quadratic:
+    # about 4.5 s at n = 10,000)
+    n = 20_000
+    model, seconds = timed_solve(CnfInstance(n, [tuple(range(1, n + 1))]))
+    assert model == (False,) * (n - 1) + (True,)
+    assert seconds < 2
