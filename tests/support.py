@@ -340,9 +340,10 @@ def upper_reference(formula: CnfFormula, lower: Dfa) -> Dfa:
 
 
 def cycle_candidate_reference(k: int, space) -> Dfa | None:
-    """The loop pre-pass by plain enumeration: every word of k-1 letters
-    in ``itertools.product`` order, no prefix cut.  Reference for
-    ``distinguish._cycle_candidate``."""
+    """The loop pre-pass by plain enumeration over the pair space: every
+    word of k-1 letters in ``itertools.product`` order, no prefix cut, and
+    the orbit of pair 0 as one mask.  Reference for
+    ``distinguish._cycle_candidate``, which walks the two DFAs instead."""
     alphabet, step, goal, bad = space.alphabet, space.step, space.goal, space.bad
     if k == 1:
         return _loop_dfa(alphabet, "") if goal and not bad else None
