@@ -78,6 +78,15 @@ def is_distinguishing(dfa: Dfa, a1: Dfa, a2: Dfa) -> bool:
     return is_subset(dfa, a1) != is_subset(dfa, a2)
 
 
+def _rejecting_sink(dfa: Dfa) -> int | None:
+    """The rejecting state that loops on every symbol, or None; a minimized DFA has one at most."""
+    width, accepting = len(dfa.alphabet), dfa.accepting
+    return next(
+        (q for q, row in enumerate(dfa.delta) if q not in accepting and row.count(q) == width),
+        None,
+    )
+
+
 class _PairSpace:
     """Joint tracking space for candidate synthesis against one orientation.
 
@@ -105,16 +114,12 @@ class _PairSpace:
 
     def __init__(self, target: Dfa, other: Dfa):
         self.alphabet = target.alphabet
-        self.width = width = len(target.alphabet)
+        self.width = len(target.alphabet)
         pairs, self.step, _ = _pair_search(target, other)
         self.bit = [[1 << t for t in col] for col in self.step]
         self.pairs = pairs  # (t, x) per pair number
         accepting = target.accepting
-        # the rejecting sink: a minimized target has at most one
-        sink = next(
-            (t for t, row in enumerate(target.delta) if t not in accepting and row.count(t) == width),
-            None,
-        )
+        sink = _rejecting_sink(target)
         self.bad = self.goal = self.doomed = 0
         for y, (t, x) in enumerate(pairs):
             if t not in accepting:
@@ -236,11 +241,7 @@ def _cycle_candidate(k: int, target: Dfa, other: Dfa) -> Dfa | None:
     t0, x0 = target.initial, other.initial
     if t0 not in t_acc:  # the initial pair is on every orbit
         return None
-    # the rejecting sink: a minimized target has at most one
-    sink = next(
-        (t for t, row in enumerate(t_delta) if t not in t_acc and row.count(t) == width),
-        None,
-    )
+    sink = _rejecting_sink(target)
     # depth-first over the words of k-1 letters in lexicographic order;
     # an entry (depth, c, t, x) puts letter c at ``depth`` of ``word``,
     # and (t, x) is the image of the initial pair under the prefix c ends
@@ -538,7 +539,14 @@ def synth_min_distinguishing(a1: Dfa, a2: Dfa, k_max: int, k_min: int = 1) -> Sy
     pre-pass misses at some k >= 2, once, for the search.  The first
     space built also tells which orientations have a goal pair: one
     without is skipped from then on, and with none (equal languages) the
-    call returns at once, with the whole budget as the bound.
+    call returns at once, with the whole budget as the bound.  So when
+    L(a1) lies inside L(a2), the first pre-pass still walks its prefix
+    tree once, at k_min, before a space shows that it cannot win; at a
+    large ``k_min`` that walk is long.  This is accepted: learning the
+    goal first would take an inclusion walk on every satisfiable
+    ``verify_lemma`` call (on the battery, ``is_subset(upper, lower)``
+    costs about a twentieth of a call), and no caller passes a large
+    ``k_min`` with L(a1) inside L(a2).
     """
     _require_same_alphabet(a1, a2)
     if k_max < 1:

@@ -1,5 +1,6 @@
 import argparse
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -9,8 +10,10 @@ from pathlib import Path
 import pytest
 
 from dfadist import cli, reduction
-from dfadist.automata import Dfa, parse_dfa
+from dfadist.automata import Dfa, parse_dfa, serialize_dfa
 from dfadist.cli import main
+
+from support import random_dfa
 
 
 @pytest.fixture
@@ -30,41 +33,20 @@ def run(capsys, *argv):
 # word / check
 # ---------------------------------------------------------------------
 
-def test_word_prints_a7(workdir, capsys):
+def test_word_prints_a7(workdir, capsys, monkeypatch):
     code, out, _ = run(capsys, "word", workdir / "example_a.dfa", workdir / "example_b.dfa")
     assert code == 0
     assert out == "aaaaaaa\n"
+    # after "--" a name starting with "-" is a file; argparse reads the call
+    shutil.copy(workdir / "example_a.dfa", workdir / "-a.dfa")
+    monkeypatch.chdir(workdir)
+    assert run(capsys, "word", "--", "-a.dfa", "example_b.dfa") == (0, "aaaaaaa\n", "")
 
 
 def test_word_equal_languages_none(workdir, capsys):
     code, out, _ = run(capsys, "word", workdir / "example_a.dfa", workdir / "example_a.dfa")
     assert code == 1
     assert out == "none\n"
-
-
-def test_check_equiv_same_file(workdir, capsys):
-    code, out, _ = run(capsys, "check", "equiv", workdir / "example_a.dfa", workdir / "example_a.dfa")
-    assert code == 0 and out == "true\n"
-
-
-def test_check_equiv_differs(workdir, capsys):
-    code, out, _ = run(capsys, "check", "equiv", workdir / "example_a.dfa", workdir / "example_b.dfa")
-    assert code == 1 and out == "false\n"
-
-
-def test_check_subset_exit_codes(workdir, capsys):
-    code, out, _ = run(capsys, "check", "subset", workdir / "example_a.dfa", workdir / "example_a.dfa")
-    assert code == 0 and out == "true\n"
-    code, out, _ = run(capsys, "check", "subset", workdir / "example_a.dfa", workdir / "example_b.dfa")
-    assert code == 1 and out == "false\n"
-
-
-def test_check_distinguishing(workdir, capsys):
-    code, out, _ = run(
-        capsys, "check", "distinguishing",
-        workdir / "example_a.dfa", workdir / "example_a.dfa", workdir / "example_b.dfa",
-    )
-    assert code == 0 and out == "true\n"
 
 
 @pytest.mark.parametrize(
@@ -108,13 +90,10 @@ def test_synth_example_pair(workdir, capsys):
     assert out == "k=2 orientation=1\n"
     dfa = parse_dfa(emitted.read_text())
     assert dfa.state_count == 2
-
-
-def test_synth_identical_inputs_none(workdir, capsys):
-    code, out, _ = run(
-        capsys, "synth", workdir / "example_a.dfa", workdir / "example_a.dfa", "--max-k", "3"
-    )
-    assert code == 1 and out == "none\n"
+    pair = (workdir / "example_a.dfa", workdir / "example_b.dfa")
+    assert run(capsys, "check", "distinguishing", emitted, *pair) == (0, "true\n", "")
+    # budget 1 is answered by rule: no one-state DFA separates the pair
+    assert run(capsys, "synth", *pair, "--max-k", "1") == (1, "none\n", "")
 
 
 def test_synth_equal_languages_huge_budget_returns_at_once(workdir, capsys):
@@ -187,6 +166,13 @@ def test_reduce_output_is_pinned(name, data_dir, tmp_path, capsys):
     assert code == 0
     assert up.read_bytes() == (data_dir / f"{name}.upper.dfa").read_bytes()
     assert low.read_bytes() == (data_dir / f"{name}.lower.dfa").read_bytes()
+    # a parsed file is not taken as minimal, so this runs Hopcroft: the
+    # builders' numbering must be minimize's, byte for byte
+    for path in (up, low):
+        assert run(capsys, "minimize", path) == (0, path.read_text(), "")
+    # lower is inside upper by construction, and the two differ
+    assert run(capsys, "check", "subset", low, up) == (0, "true\n", "")
+    assert run(capsys, "check", "subset", up, low) == (1, "false\n", "")
 
 
 def test_reduce_builds_the_lower_dfa_once(workdir, capsys, monkeypatch):
@@ -279,13 +265,43 @@ def test_minimize_loosely_written_file_matches_canonical(workdir, capsys):
         b"row 4\t2\r\nrow\t3 4\r\nrow 2 3\r\nrow +1 02\r\nrow 0\t01\r\n"
     )
     assert run(capsys, "minimize", loose) == run(capsys, "minimize", workdir / "example_b.dfa")
+    # two 5-state files in one process: loose.dfa's row block read line by
+    # line, example_b.dfa's by lookup in a numeral table
+    assert run(capsys, "check", "equiv", loose, workdir / "example_b.dfa") == (0, "true\n", "")
+    # row 0 (line 11) naming target 5: the line walk goes on from the
+    # accepting line and counts the comment line
+    faulty = workdir / "faulty.dfa"
+    faulty.write_bytes(b"".join(loose.read_bytes().splitlines(keepends=True)[:10]) + b"row 0\t5\r\n")
+    assert run(capsys, "minimize", faulty) == (2, "", "error: line 11: row target 5 outside [0,5)\n")
+
+
+def test_large_files_in_any_row_order(tmp_path, capsys):
+    # two 10^5-state files: rows in serialize_dfa's layout are checked in
+    # bulk, and the same rows reversed are read line by line, still linear
+    rng = random.Random(1)
+    d1, d2 = random_dfa(rng, 100_000), random_dfa(rng, 100_000)
+    big1, big2, reversed_rows = (tmp_path / f"{name}.dfa" for name in ("big1", "big2", "big1rev"))
+    lines = serialize_dfa(d1).splitlines(keepends=True)
+    big1.write_text("".join(lines))
+    big2.write_text(serialize_dfa(d2))
+    reversed_rows.write_text("".join(lines[:5] + lines[:4:-1]))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "word", big1, big2)
+    assert (code, err) == (0, "")
+    word = out.removesuffix("\n")
+    assert d1.accepts(word) != d2.accepts(word)
+    assert run(capsys, "check", "equiv", big1, reversed_rows) == (0, "true\n", "")
+    assert time.perf_counter() - start < 10.0
 
 
 @pytest.mark.parametrize("m", ["1000000000000", "100000000000000000000"])
 def test_huge_declared_state_count_is_input_error(workdir, capsys, m):
     huge = workdir / "huge.dfa"
     huge.write_text(f"dfa v1\nalphabet a\nstates {m}\ninitial 0\naccepting\nrow 0 0\n")
+    # an input error at once: the parser sizes nothing by the declared count
+    start = time.perf_counter()
     code, out, err = run(capsys, "minimize", huge)
+    assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err == "error: unexpected end of input, expected 'row <q> <1 targets>'\n"
 
@@ -313,12 +329,24 @@ def test_outputs_are_byte_identical_across_runs(workdir, capsys):
         assert first == second
 
 
-def test_malformed_dfa_is_input_error(workdir, capsys):
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("dfa v1\nalphabet a\nstates 3\ninitial 0\naccepting\nrow 0 7\n",
+         "line 6: row target 7 outside [0,3)"),
+        ("dfa v1\nalphabet ab\nstates 2\ninitial 0\naccepting 1\nrow 0 1 0\nrow 1 1 2\n",
+         "line 7: row target 2 outside [0,2)"),
+        # row 0 spills onto line 7 with the right token total: the counts
+        # send the block to the line walk, which names line 6
+        ("dfa v1\nalphabet a\nstates 2\ninitial 0\naccepting 1\nrow 0 1 row\n1 0\n",
+         "line 6: row needs 1 targets for alphabet 'a', got 2"),
+    ],
+    ids=["target", "last-row", "spill"],
+)
+def test_malformed_dfa_is_input_error(workdir, capsys, text, message):
     broken = workdir / "broken.dfa"
-    broken.write_text("dfa v1\nalphabet a\nstates 3\ninitial 0\naccepting\nrow 0 7\n")
-    code, _, err = run(capsys, "word", broken, workdir / "example_a.dfa")
-    assert code == 2
-    assert "line 6" in err
+    broken.write_text(text)
+    assert run(capsys, "word", broken, workdir / "example_a.dfa") == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -400,9 +428,12 @@ def test_negative_clause_count_is_one_error_line(workdir, capsys):
 
 
 def test_usage_error_exits_two(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+    for argv in (["frobnicate"], ["word", "one.dfa"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: ")
 
 
 @pytest.mark.parametrize(

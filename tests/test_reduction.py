@@ -491,11 +491,14 @@ def test_found_distinguishers_have_exactly_k_plus_two_states(formula):
         (CnfFormula(8, [(1, -2, 3), (-4, 5, 8), (-1, 6, -7)]), 10),
         # satisfied only by all ones, the lexicographically last loop
         (CnfFormula(13, [(v,) for v in range(1, 14)]), 15),
+        (CnfFormula(14, [(v,) for v in range(1, 15)]), 16),
     ],
 )
 def test_verify_lemma_large_satisfiable_formula_takes_no_search(formula, expected):
-    # refuting budget 6 alone took 138 s on 5-var [(5,)], and the loop
-    # pre-pass walked all 3^14 words of 14 letters on x1 ∧ … ∧ x13 (2-4 s)
+    # verify_lemma searches budget k+2 alone; from budget 1, 5-var [(5,)]
+    # takes about 1 ms over 9 nodes, but the battery takes about five times
+    # as long (347 nodes against 59). The loop pre-pass once walked all
+    # 3^14 words of 14 letters on x1 ∧ … ∧ x13 (2-4 s)
     started = time.perf_counter()
     report = verify_lemma(formula)
     elapsed = time.perf_counter() - started
