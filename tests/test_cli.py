@@ -33,10 +33,13 @@ def run(capsys, *argv):
 # word / check
 # ---------------------------------------------------------------------
 
-def test_word_prints_a7(workdir, capsys, monkeypatch):
+def test_word_prints_a7(workdir, capsys):
     code, out, _ = run(capsys, "word", workdir / "example_a.dfa", workdir / "example_b.dfa")
     assert code == 0
     assert out == "aaaaaaa\n"
+
+
+def test_word_reads_a_dash_led_file_after_double_dash(workdir, capsys, monkeypatch):
     # after "--" a name starting with "-" is a file; argparse reads the call
     shutil.copy(workdir / "example_a.dfa", workdir / "-a.dfa")
     monkeypatch.chdir(workdir)
@@ -94,6 +97,13 @@ def test_synth_example_pair(workdir, capsys):
     assert run(capsys, "check", "distinguishing", emitted, *pair) == (0, "true\n", "")
     # budget 1 is answered by rule: no one-state DFA separates the pair
     assert run(capsys, "synth", *pair, "--max-k", "1") == (1, "none\n", "")
+
+
+def test_synth_identical_inputs_none(workdir, capsys):
+    code, out, _ = run(
+        capsys, "synth", workdir / "example_a.dfa", workdir / "example_a.dfa", "--max-k", "3"
+    )
+    assert code == 1 and out == "none\n"
 
 
 def test_synth_equal_languages_huge_budget_returns_at_once(workdir, capsys):
@@ -255,23 +265,29 @@ def test_minimize_outputs_dfa_format(workdir, capsys):
     assert out == "dfa v1\nalphabet a\nstates 1\ninitial 0\naccepting\nrow 0 0\n"
 
 
+# example_b.dfa with CRLF endings, tabs, comments, rows in reverse order
+# and the numerals +1, 01 and 02
+LOOSE_EXAMPLE_B = (
+    b"; example_b.dfa, written loosely\r\ndfa v1\r\nalphabet\ta\r\nstates 5\r\n"
+    b"initial\t0\r\naccepting\t01 +1\t2 3 ; all but 0 and 4\r\n"
+    b"row 4\t2\r\nrow\t3 4\r\nrow 2 3\r\nrow +1 02\r\nrow 0\t01\r\n"
+)
+
+
 def test_minimize_loosely_written_file_matches_canonical(workdir, capsys):
-    # example_b.dfa with CRLF endings, tabs, comments, rows in reverse
-    # order and the numerals +1, 01 and 02
     loose = workdir / "loose.dfa"
-    loose.write_bytes(
-        b"; example_b.dfa, written loosely\r\ndfa v1\r\nalphabet\ta\r\nstates 5\r\n"
-        b"initial\t0\r\naccepting\t01 +1\t2 3 ; all but 0 and 4\r\n"
-        b"row 4\t2\r\nrow\t3 4\r\nrow 2 3\r\nrow +1 02\r\nrow 0\t01\r\n"
-    )
+    loose.write_bytes(LOOSE_EXAMPLE_B)
     assert run(capsys, "minimize", loose) == run(capsys, "minimize", workdir / "example_b.dfa")
     # two 5-state files in one process: loose.dfa's row block read line by
     # line, example_b.dfa's by lookup in a numeral table
     assert run(capsys, "check", "equiv", loose, workdir / "example_b.dfa") == (0, "true\n", "")
+
+
+def test_loosely_written_file_fault_names_its_line(workdir, capsys):
     # row 0 (line 11) naming target 5: the line walk goes on from the
     # accepting line and counts the comment line
     faulty = workdir / "faulty.dfa"
-    faulty.write_bytes(b"".join(loose.read_bytes().splitlines(keepends=True)[:10]) + b"row 0\t5\r\n")
+    faulty.write_bytes(b"".join(LOOSE_EXAMPLE_B.splitlines(keepends=True)[:10]) + b"row 0\t5\r\n")
     assert run(capsys, "minimize", faulty) == (2, "", "error: line 11: row target 5 outside [0,5)\n")
 
 
@@ -329,11 +345,17 @@ def test_outputs_are_byte_identical_across_runs(workdir, capsys):
         assert first == second
 
 
+def test_malformed_dfa_is_input_error(workdir, capsys):
+    broken = workdir / "broken.dfa"
+    broken.write_text("dfa v1\nalphabet a\nstates 3\ninitial 0\naccepting\nrow 0 7\n")
+    assert run(capsys, "word", broken, workdir / "example_a.dfa") == (
+        2, "", "error: line 6: row target 7 outside [0,3)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("dfa v1\nalphabet a\nstates 3\ninitial 0\naccepting\nrow 0 7\n",
-         "line 6: row target 7 outside [0,3)"),
         ("dfa v1\nalphabet ab\nstates 2\ninitial 0\naccepting 1\nrow 0 1 0\nrow 1 1 2\n",
          "line 7: row target 2 outside [0,2)"),
         # row 0 spills onto line 7 with the right token total: the counts
@@ -341,9 +363,9 @@ def test_outputs_are_byte_identical_across_runs(workdir, capsys):
         ("dfa v1\nalphabet a\nstates 2\ninitial 0\naccepting 1\nrow 0 1 row\n1 0\n",
          "line 6: row needs 1 targets for alphabet 'a', got 2"),
     ],
-    ids=["target", "last-row", "spill"],
+    ids=["last-row", "spill"],
 )
-def test_malformed_dfa_is_input_error(workdir, capsys, text, message):
+def test_malformed_row_block_is_input_error(workdir, capsys, text, message):
     broken = workdir / "broken.dfa"
     broken.write_text(text)
     assert run(capsys, "word", broken, workdir / "example_a.dfa") == (2, "", f"error: {message}\n")
@@ -428,12 +450,20 @@ def test_negative_clause_count_is_one_error_line(workdir, capsys):
 
 
 def test_usage_error_exits_two(capsys):
-    for argv in (["frobnicate"], ["word", "one.dfa"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("usage: ")
+    with pytest.raises(SystemExit) as exc:
+        main(["frobnicate"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: ")
+
+
+def test_short_call_prints_usage(capsys):
+    # word takes two files; one is a usage error, not an input error
+    with pytest.raises(SystemExit) as exc:
+        main(["word", "one.dfa"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: ")
 
 
 @pytest.mark.parametrize(

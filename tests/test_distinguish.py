@@ -323,6 +323,15 @@ def test_synth_example_pair_two_states(example_a, example_b):
     assert is_distinguishing(outcome.dfa, example_a, example_b)
 
 
+def test_synth_equal_languages_none(example_a):
+    outcome = synth_min_distinguishing(example_a, example_a, 4)
+    assert not outcome.found
+    assert outcome.dfa is None and outcome.orientation is None
+    assert outcome.bound == 4
+    # both orientations are skipped before any search
+    assert outcome.nodes == 0
+
+
 def test_synth_equal_languages_return_at_once(example_a):
     # no orientation has a goal pair, so no budget is walked
     start = time.perf_counter()
